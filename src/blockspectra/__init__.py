@@ -4,125 +4,24 @@ Exact small-graph machinery (edge lists, blocks, isomorphism), dense symmetric
 eigensolvers, extremal family constructors, and an empirical verification
 harness for the extremal inequalities relating block structure to the
 spectral radius and distance spectral radius of graph complements.
+
+The public names are those of the layer modules' `__all__` lists.
 """
 
-from .families import (
-    CliqueTreeSpec,
-    broom,
-    clique_path,
-    clique_star,
-    complete_graph,
-    enumerate_clique_trees,
-    enumerate_connected_graphs,
-    enumerate_trees,
-    parse_family_spec,
-    path_graph,
-    random_clique_tree,
-    realize,
-)
-from .graphs import (
-    BlockDecomposition,
-    Graph,
-    GraphError,
-    are_isomorphic,
-    bfs_distances,
-    block_decomposition,
-    complement,
-    diameter,
-    format_edge_list,
-    from_edge_list,
-    is_clique_tree,
-    is_connected,
-    parse_edge_list,
-)
-from .spectral import (
-    DEFAULT_TOL,
-    EigenPair,
-    SpectralError,
-    adjacency_matrix,
-    complement_distance_matrix,
-    distance_matrix,
-    dominant_eigenpair,
-    jacobi_eigh,
-    matrix_to_tsv,
-    power_iteration,
-    rayleigh_quotient,
-    spectral_radius,
-)
-from .transforms import (
-    complete_blocks,
-    delete_block_edges,
-    end_cliques,
-    move_clique,
-)
-from .verify import (
-    ALIASES,
-    EPS,
-    THEOREMS,
-    TheoremReport,
-    check_block_completion,
-    check_clique_move_adjacency,
-    check_clique_move_distance,
-    check_diameter_monotonicity,
-    check_extremal,
-    check_lemma_complement_distance,
-    run_check,
-)
+from . import families, graphs, spectral, transforms, verify
+from .families import *  # noqa: F401,F403
+from .graphs import *  # noqa: F401,F403
+from .spectral import *  # noqa: F401,F403
+from .transforms import *  # noqa: F401,F403
+from .verify import *  # noqa: F401,F403
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "Graph",
-    "GraphError",
-    "BlockDecomposition",
-    "from_edge_list",
-    "parse_edge_list",
-    "format_edge_list",
-    "complement",
-    "bfs_distances",
-    "diameter",
-    "is_connected",
-    "block_decomposition",
-    "is_clique_tree",
-    "are_isomorphic",
-    "EigenPair",
-    "SpectralError",
-    "DEFAULT_TOL",
-    "adjacency_matrix",
-    "distance_matrix",
-    "complement_distance_matrix",
-    "dominant_eigenpair",
-    "power_iteration",
-    "jacobi_eigh",
-    "rayleigh_quotient",
-    "spectral_radius",
-    "matrix_to_tsv",
-    "CliqueTreeSpec",
-    "realize",
-    "clique_path",
-    "clique_star",
-    "path_graph",
-    "complete_graph",
-    "broom",
-    "enumerate_trees",
-    "enumerate_connected_graphs",
-    "enumerate_clique_trees",
-    "random_clique_tree",
-    "parse_family_spec",
-    "end_cliques",
-    "move_clique",
-    "complete_blocks",
-    "delete_block_edges",
-    "EPS",
-    "THEOREMS",
-    "ALIASES",
-    "TheoremReport",
-    "run_check",
-    "check_lemma_complement_distance",
-    "check_clique_move_adjacency",
-    "check_clique_move_distance",
-    "check_diameter_monotonicity",
-    "check_extremal",
-    "check_block_completion",
+    *graphs.__all__,
+    *spectral.__all__,
+    *families.__all__,
+    *transforms.__all__,
+    *verify.__all__,
     "__version__",
 ]

@@ -25,9 +25,7 @@ __all__ = [
     "dominant_eigenpair",
     "power_iteration",
     "jacobi_eigh",
-    "rayleigh_quotient",
     "spectral_radius",
-    "matrix_to_tsv",
 ]
 
 DEFAULT_TOL = 1e-10
@@ -202,8 +200,10 @@ def dominant_eigenpair(m, tol=DEFAULT_TOL):
     Power iteration first (cap 100*n steps); on stall, full Jacobi fallback
     (cap 30 sweeps). Exceeding both caps is a hard error, never a silent
     approximation. For nonnegative irreducible input the vector is the Perron
-    vector, normalized with positive sign.
+    vector, normalized with positive sign. tol must be positive and finite.
     """
+    if not 0 < tol < math.inf:
+        raise SpectralError(f"tolerance must be positive and finite, got {tol}")
     a = _check_symmetric(m)
     pair = power_iteration(a, tol=tol)
     if pair is not None:
@@ -222,16 +222,6 @@ def dominant_eigenpair(m, tol=DEFAULT_TOL):
             f"{residual:.3e} exceeds tol {tol:.1e}"
         )
     return EigenPair(lam, x, residual, 100 * n, "jacobi")
-
-
-def rayleigh_quotient(m, x):
-    """x'Mx / x'x; rejects the zero vector."""
-    a = np.asarray(m, dtype=float)
-    x = np.asarray(x, dtype=float)
-    nx = float(x @ x)
-    if nx == 0.0:
-        raise SpectralError("rayleigh quotient of the zero vector is undefined")
-    return float(x @ (a @ x)) / nx
 
 
 def spectral_radius(g, kind, tol=DEFAULT_TOL):
@@ -256,8 +246,3 @@ def spectral_radius(g, kind, tol=DEFAULT_TOL):
         raise GraphError(f"unknown spectral kind {kind!r}; expected one of {SPECTRAL_KINDS}")
     return dominant_eigenpair(mat, tol=tol)
 
-
-def matrix_to_tsv(m):
-    """Debug form: one row per line, tab-separated, 17 significant digits."""
-    a = np.asarray(m, dtype=float)
-    return "\n".join("\t".join(format(v, ".17g") for v in row) for row in a) + "\n"

@@ -1,16 +1,16 @@
-"""Graph surgeries: moving an end clique between cut vertices, completing
-blocks to cliques, and deleting block edges.
+"""Graph surgeries: moving an end clique between cut vertices and completing
+blocks to cliques.
 
-These are the operations the extremal arguments compose; selection policies
-(which clique to move where) live in the verify module, keeping the surgery
-itself reusable.
+These are the operations the extremal claims compare across; which clique to
+move where is chosen in the verify module, keeping the surgery itself
+reusable.
 """
 
 from __future__ import annotations
 
-from .graphs import Graph, GraphError, block_decomposition, is_clique_tree, is_connected
+from .graphs import Graph, GraphError, block_decomposition, is_clique_tree
 
-__all__ = ["end_cliques", "move_clique", "complete_blocks", "delete_block_edges"]
+__all__ = ["end_cliques", "move_clique", "complete_blocks"]
 
 
 def end_cliques(g, decomp=None):
@@ -78,22 +78,3 @@ def complete_blocks(g):
             rows[u] |= bmask & ~(1 << u)
     return Graph(g.n, rows)
 
-
-def delete_block_edges(g, edges):
-    """Remove the given edges; rejects removals that disconnect the graph."""
-    rows = list(g.rows)
-    seen = set()
-    for e in edges:
-        u, v = int(e[0]), int(e[1])
-        key = (min(u, v), max(u, v))
-        if key in seen:
-            raise GraphError(f"edge ({u},{v}) listed twice")
-        seen.add(key)
-        if not (0 <= u < g.n and 0 <= v < g.n) or not g.has_edge(u, v):
-            raise GraphError(f"({u},{v}) is not an edge of the graph")
-        rows[u] &= ~(1 << v)
-        rows[v] &= ~(1 << u)
-    out = Graph(g.n, rows)
-    if not is_connected(out):
-        raise GraphError("deleting those edges disconnects the graph")
-    return out

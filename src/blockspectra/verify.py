@@ -1,10 +1,12 @@
 """Empirical verification of the extremal eigenvalue claims.
 
-Each check enumerates or samples a graph family, evaluates both sides of one
-stated inequality (or matrix identity), and returns a TheoremReport. Checks
-never assert: they record violations, near-ties with an isomorphism
-classification, hypothesis exclusions, and extremal witnesses, so a run is
-interpretable on its own and a genuine counterexample surfaces loudly.
+Every claim is one record in CLAIMS: a graph family, a per-instance
+comparison of complement spectral radii (or of matrices, for L4.1), and a
+reduction of those comparisons into a TheoremReport. run_check drives every
+record through the same pipeline. Checks never assert: they record
+violations, near-ties with an isomorphism classification, hypothesis
+exclusions, and extremal witnesses, so a run is interpretable on its own and
+a genuine counterexample surfaces loudly.
 
 Claim identifiers are stable strings (L2.1, T2.2, ..., T5.2) shared by the
 CLI, reports, and tests.
@@ -18,7 +20,8 @@ import random
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from functools import partial
+from functools import cache, partial
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -26,42 +29,17 @@ from .families import (
     broom,
     clique_path,
     clique_star,
-    complete_graph,
     enumerate_clique_trees,
     enumerate_connected_graphs,
     enumerate_trees,
     path_graph,
     random_clique_tree,
 )
-from .graphs import (
-    GraphError,
-    are_isomorphic,
-    block_decomposition,
-    complement,
-    diameter,
-    format_edge_list,
-)
-from .spectral import (
-    DEFAULT_TOL,
-    adjacency_matrix,
-    complement_distance_matrix,
-    spectral_radius,
-)
+from .graphs import GraphError, are_isomorphic, block_decomposition, diameter, format_edge_list
+from .spectral import DEFAULT_TOL, adjacency_matrix, complement_distance_matrix, spectral_radius
 from .transforms import complete_blocks, end_cliques, move_clique
 
-__all__ = [
-    "EPS",
-    "TheoremReport",
-    "THEOREMS",
-    "ALIASES",
-    "check_lemma_complement_distance",
-    "check_clique_move_adjacency",
-    "check_clique_move_distance",
-    "check_diameter_monotonicity",
-    "check_extremal",
-    "check_block_completion",
-    "run_check",
-]
+__all__ = ["EPS", "TheoremReport", "THEOREMS", "ALIASES", "run_check"]
 
 # Comparison margin for all theorem inequalities, two orders above the
 # eigensolver residual tolerance so solver noise can never masquerade as a
@@ -77,25 +55,7 @@ ORDERING_NOTE = (
     "orderings of the clique path, upper bounds the max over (bridge, last) "
     "clique-star arrangements, since the statements leave the arrangement open"
 )
-
-THEOREMS = {
-    "L2.1": "clique move keeps adjacency spectral radius of the complement non-decreasing",
-    "T2.2": "clique-star upper bound, adjacency spectral radius of complements of clique trees",
-    "L2.3": "class max over clique trees non-increasing in diameter (adjacency of complement)",
-    "T2.4": "clique-path lower bound, adjacency spectral radius of complements of clique trees",
-    "T2.5": "path/broom chain over trees, adjacency spectral radius of complements",
-    "L3.1": "class max over block graphs non-decreasing in diameter (adjacency of complement)",
-    "L3.2": "block completion does not raise the adjacency spectral radius of the complement",
-    "T3.3": "clique-path lower bound, adjacency spectral radius of complements of block graphs",
-    "L4.1": "complement distance matrix identity D(G^c) = J - I + A(G) for diameter > 3",
-    "L4.2": "clique move keeps distance spectral radius of the complement non-decreasing",
-    "L4.3": "class max over clique trees non-increasing in diameter (distance of complement)",
-    "L4.4": "clique-path lower bound, distance spectral radius of complements of clique trees",
-    "T4.5": "clique-star upper bound, distance spectral radius of complements of clique trees",
-    "T4.6": "path/broom chain over trees, distance spectral radius of complements",
-    "L5.1": "block completion does not lower the distance spectral radius of the complement",
-    "T5.2": "clique-star upper bound, distance spectral radius of complements of block graphs",
-}
+VACUOUS_NOTE = "vacuous: no instance satisfies the hypothesis at this order"
 
 # The harness's own numbering follows the claim list; 4.4 is stated as a lemma
 # but one acceptance summary calls it a theorem, so T4.4 is accepted as input.
@@ -178,12 +138,8 @@ def _pmap(fn, items, jobs):
 
 def _has_spread_cut_pair(decomp):
     """True iff two cut vertices share no block (the standing hypothesis)."""
-    cuts = sorted(decomp.cut_vertices)
-    for i, u in enumerate(cuts):
-        for v in cuts[i + 1 :]:
-            if not any(u in b and v in b for b in decomp.blocks):
-                return True
-    return False
+    pairs = itertools.combinations(sorted(decomp.cut_vertices), 2)
+    return any(not any(u in b and v in b for b in decomp.blocks) for u, v in pairs)
 
 
 # Spectral radii are cached per process; values are deterministic, so cache
@@ -200,373 +156,80 @@ def _lam(g, kind):
     return val
 
 
-_COMPARATOR_CACHE = {}
+@cache
+def _comparators(shape, sizes):
+    """All clique paths ("path") or clique stars ("star") with these sorted block sizes."""
+    if shape == "path":
+        # distinct orderings of the sizes, up to reversal
+        orders = sorted({min(o, o[::-1]) for o in itertools.permutations(sizes)})
+        return tuple(clique_path(o) for o in orders)
+    # distinct (end sizes, bridge, last) splits of the sizes
+    splits = set()
+    for bridge, last in itertools.permutations(sizes, 2):
+        ends = list(sizes)
+        ends.remove(bridge)
+        ends.remove(last)
+        splits.add((tuple(ends), bridge, last))
+    return tuple(clique_star(e, b, l) for e, b, l in sorted(splits))
 
 
-def _path_orderings(sizes):
-    """Distinct orderings of the size multiset, deduplicated up to reversal."""
-    seen = set()
-    out = []
-    for p in sorted(set(itertools.permutations(sorted(sizes)))):
-        key = min(p, tuple(reversed(p)))
-        if key not in seen:
-            seen.add(key)
-            out.append(p)
-    return out
+# Per-instance steps take (instance, params) and return None for an instance
+# outside the hypothesis, else the record their claim's reduction reads.
 
 
-def _star_arrangements(sizes):
-    """Distinct (end_sizes, bridge, last) splits of the size multiset."""
-    out = set()
-    items = sorted(sizes)
-    for i, bridge in enumerate(items):
-        rest = items[:i] + items[i + 1 :]
-        for j, last in enumerate(rest):
-            ends = tuple(rest[:j] + rest[j + 1 :])
-            out.add((ends, bridge, last))
-    return sorted(out)
+def _compared(g, side, lhs, rhs, tie_with):
+    """One comparison; slack >= 0 means the claimed direction holds.
 
-
-def _path_bound(sizes, kind):
-    """(min spectral radius over clique-path orderings, all ordering graphs)."""
-    key = ("path", sizes, kind)
-    hit = _COMPARATOR_CACHE.get(key)
-    if hit is None:
-        graphs_ = [clique_path(o) for o in _path_orderings(sizes)]
-        bound = min(_lam(g, kind) for g in graphs_)
-        hit = (bound, tuple(graphs_))
-        _COMPARATOR_CACHE[key] = hit
-    return hit
-
-
-def _star_bound(sizes, kind):
-    """(max spectral radius over clique-star arrangements, all arrangement graphs)."""
-    key = ("star", sizes, kind)
-    hit = _COMPARATOR_CACHE.get(key)
-    if hit is None:
-        graphs_ = [clique_star(e, b, l) for e, b, l in _star_arrangements(sizes)]
-        bound = max(_lam(g, kind) for g in graphs_)
-        hit = (bound, tuple(graphs_))
-        _COMPARATOR_CACHE[key] = hit
-    return hit
-
-
-# theorem id -> (family, kind, side, comparator, equality_required)
-_EXTREMAL = {
-    "T2.2": ("clique_tree", "complement_adjacency", "upper", "star", False),
-    "T2.4": ("clique_tree", "complement_adjacency", "lower", "path", True),
-    "L4.4": ("clique_tree", "complement_distance", "lower", "path", True),
-    "T4.5": ("clique_tree", "complement_distance", "upper", "star", False),
-    "T3.3": ("block_graph", "complement_adjacency", "lower", "path", True),
-    "T5.2": ("block_graph", "complement_distance", "upper", "star", True),
-    "T2.5": ("tree", "complement_adjacency", "chain", None, True),
-    "T4.6": ("tree", "complement_distance", "chain", None, True),
-}
-
-_MONO = {
-    "L2.3": ("clique_tree", "complement_adjacency", "d_side"),
-    "L4.3": ("clique_tree", "complement_distance", "d_side"),
-    "L3.1": ("block_graph", "complement_adjacency", "d_plus_1_side"),
-}
-
-_COMPLETION = {
-    "L3.2": ("complement_adjacency", "lower"),
-    "L5.1": ("complement_distance", "upper"),
-}
-
-_MOVE = {
-    "L2.1": "complement_adjacency",
-    "L4.2": "complement_distance",
-}
-
-
-def _extremal_instance(g, theorem):
-    family, kind, side, comparator, _eq = _EXTREMAL[theorem]
-    if family == "tree":
-        if diameter(g) <= 3:
-            return {"excluded": True}
-        lam = _lam(g, kind)
-        comparisons = []
-        low = path_graph(g.n)
-        lo = _lam(low, kind)
-        tie_ok = are_isomorphic(g, low) if abs(lam - lo) <= EPS else None
-        comparisons.append(("lower", lam, lo, lam - lo, tie_ok))
-        high = broom(g.n)
-        hi = _lam(high, kind)
-        tie_ok = are_isomorphic(g, high) if abs(lam - hi) <= EPS else None
-        comparisons.append(("upper", lam, hi, hi - lam, tie_ok))
-        return {"graph": _gstr(g), "comparisons": comparisons}
-
-    decomp = block_decomposition(g)
-    if not _has_spread_cut_pair(decomp):
-        return {"excluded": True}
-    sizes = tuple(sorted(len(b) for b in decomp.blocks))
-    lam = _lam(g, kind)
-    if comparator == "path":
-        bound, cgraphs = _path_bound(sizes, kind)
-        slack = lam - bound
-        side_name = "lower"
-    else:
-        bound, cgraphs = _star_bound(sizes, kind)
-        slack = bound - lam
-        side_name = "upper"
-    tie_ok = None
-    if abs(lam - bound) <= EPS:
-        tie_ok = any(are_isomorphic(g, c) for c in cgraphs)
-    return {
-        "graph": _gstr(g),
-        "comparisons": [(side_name, lam, bound, slack, tie_ok)],
-    }
-
-
-def _reduce(report, results, eq_required):
-    """Fold per-instance comparison records into the report."""
-    best = None
-    loose_ties = 0
-    for res in results:
-        if res.get("excluded"):
-            report.excluded += 1
-            continue
-        report.checked += 1
-        for side, lhs, rhs, slack, tie_ok in res["comparisons"]:
-            status = "ok"
-            if abs(lhs - rhs) <= EPS:
-                if eq_required and not tie_ok:
-                    status = "violation"
-                    report.violations.append(
-                        {
-                            "graph": res["graph"],
-                            "lhs": lhs,
-                            "rhs": rhs,
-                            "margin": slack,
-                            "reason": "equality-characterization",
-                        }
-                    )
-                else:
-                    status = "tie"
-                    report.ties += 1
-                    if not tie_ok:
-                        loose_ties += 1
-            elif slack < -EPS:
-                status = "violation"
-                report.violations.append(
-                    {
-                        "graph": res["graph"],
-                        "lhs": lhs,
-                        "rhs": rhs,
-                        "margin": slack,
-                        "reason": "inequality",
-                    }
-                )
-            report.rows.append(
-                {
-                    "graph": res["graph"],
-                    "side": side,
-                    "lhs": lhs,
-                    "rhs": rhs,
-                    "margin": slack,
-                    "status": status,
-                }
-            )
-            if best is None or slack < best[0]:
-                best = (slack, res["graph"])
-    if best is not None:
-        report.witness = best[1]
-    if loose_ties:
-        report.notes.append(
-            f"ties not isomorphic to the comparator: {loose_ties} "
-            "(no equality case is stated for this bound)"
-        )
-
-
-def check_extremal(theorem, n=None, s=None, jobs=1):
-    """Check one extremal bound over an exhaustively enumerated family.
-
-    theorem picks the family, matrix kind, comparator, and equality handling;
-    n is the exact order; s optionally restricts clique trees to one block
-    count (default: all feasible s).
+    A "lower" side claims lhs >= rhs, any other side lhs <= rhs. On a tie
+    within EPS, tie_ok says whether g is isomorphic to one of tie_with, the
+    claimed equality cases; otherwise it is None.
     """
-    theorem = ALIASES.get(theorem, theorem)
-    if theorem not in _EXTREMAL:
-        raise GraphError(f"not an extremal claim id: {theorem!r}")
-    family, kind, side, comparator, eq_required = _EXTREMAL[theorem]
-    if n is None:
-        n = 8 if family == "tree" else 6
-    t0 = time.perf_counter()
-    if family == "tree":
-        instances = list(enumerate_trees(n))
-        params = {"n": n}
-    elif family == "clique_tree":
-        svals = [s] if s is not None else list(range(1, n))
-        instances = []
-        for sv in svals:
-            instances.extend(enumerate_clique_trees(n, sv))
-        params = {"n": n, "s": s if s is not None else "all"}
-    else:
-        instances = list(enumerate_connected_graphs(n))
-        params = {"n": n}
-    report = TheoremReport(theorem=theorem, params=params)
-    results = _pmap(partial(_extremal_instance, theorem=theorem), instances, jobs)
-    _reduce(report, results, eq_required)
-    if report.checked == 0:
-        report.notes.append("vacuous: no instance satisfies the hypothesis at this order")
-    if family == "tree":
-        report.notes.append("hypothesis: trees with diameter > 3; others excluded")
-    else:
-        report.notes.append(
-            "hypothesis: two cut vertices sharing no block; others excluded"
-        )
-        report.notes.append(ORDERING_NOTE)
-    if theorem == "T3.3":
-        report.notes.append(
-            "equality case tested as B isomorphic to the clique path itself; the "
-            "claim's equality clause names the complement on one side, which is "
-            "inconsistent with the parallel claims and flagged here rather than guessed"
-        )
-    if theorem in ("T2.2", "T4.5"):
-        report.notes.append("no equality characterization is stated for this bound")
-    report.elapsed = time.perf_counter() - t0
-    return report
-
-
-def _completion_instance(g, theorem):
-    kind, side = _COMPLETION[theorem]
-    decomp = block_decomposition(g)
-    if not _has_spread_cut_pair(decomp):
-        return {"excluded": True}
-    cb = complete_blocks(g)
-    lhs = _lam(g, kind)
-    rhs = _lam(cb, kind)
     slack = lhs - rhs if side == "lower" else rhs - lhs
-    tie_ok = are_isomorphic(g, cb) if abs(lhs - rhs) <= EPS else None
-    return {"graph": _gstr(g), "comparisons": [(side, lhs, rhs, slack, tie_ok)]}
+    tie_ok = any(are_isomorphic(g, h) for h in tie_with) if abs(lhs - rhs) <= EPS else None
+    return (side, lhs, rhs, slack, tie_ok)
 
 
-def check_block_completion(theorem, n_max=5, jobs=1):
-    """Compare every small block graph against its block completion.
-
-    L3.2: completing blocks cannot raise the adjacency spectral radius of the
-    complement; L5.1: it cannot lower the distance one. Equality must mean
-    the graph already was a clique tree (isomorphism-checked).
-    """
-    theorem = ALIASES.get(theorem, theorem)
-    if theorem not in _COMPLETION:
-        raise GraphError(f"not a block-completion claim id: {theorem!r}")
-    t0 = time.perf_counter()
-    instances = []
-    for n in range(2, n_max + 1):
-        instances.extend(enumerate_connected_graphs(n))
-    report = TheoremReport(theorem=theorem, params={"n_max": n_max})
-    results = _pmap(partial(_completion_instance, theorem=theorem), instances, jobs)
-    _reduce(report, results, eq_required=True)
-    if report.checked == 0:
-        report.notes.append("vacuous: no instance satisfies the hypothesis at this order")
-    report.notes.append(
-        "hypothesis: two cut vertices sharing no block; others excluded"
-    )
-    report.notes.append("ties must be graphs already equal to their block completion")
-    report.elapsed = time.perf_counter() - t0
-    return report
+def _versus(g, kind, *sides):
+    """Compare g's radius with each (side, comparator graphs) pair: a lower
+    side with the least comparator radius, an upper side with the greatest."""
+    lam = _lam(g, kind)
+    comparisons = []
+    for side, others in sides:
+        pick = min if side == "lower" else max
+        comparisons.append(_compared(g, side, lam, pick(_lam(h, kind) for h in others), others))
+    return {"graph": _gstr(g), "comparisons": comparisons}
 
 
-def _identity_instance(g):
-    d = diameter(g)
-    if d < 3:
-        return {"excluded": True}
-    dc = complement_distance_matrix(g)
-    n = g.n
-    target = np.ones((n, n), dtype=np.int64) - np.eye(n, dtype=np.int64) + adjacency_matrix(g)
-    if d > 3:
-        ok = bool(np.array_equal(dc, target))
-        strict_pairs = 0
-        case = "equality"
-    else:
-        ok = bool((dc >= target).all())
-        strict_pairs = int((dc > target).sum()) // 2
-        case = "dominance"
-    first_bad = None
-    if not ok:
-        bad = np.argwhere(dc != target) if d > 3 else np.argwhere(dc < target)
-        i, j = (int(bad[0][0]), int(bad[0][1]))
-        first_bad = (i, j, int(dc[i, j]), int(target[i, j]))
-    return {
-        "graph": _gstr(g),
-        "case": case,
-        "ok": ok,
-        "strict_pairs": strict_pairs,
-        "first_bad": first_bad,
-    }
+def _tree_chain(g, p, kind):
+    if diameter(g) <= 3:
+        return None
+    return _versus(g, kind, ("lower", (path_graph(g.n),)), ("upper", (broom(g.n),)))
 
 
-def check_lemma_complement_distance(n_max=6, jobs=1):
-    """Exhaustively verify D(G^c) against J - I + A(G) for connected G, n <= n_max.
-
-    Diameter > 3: exact integer equality. Diameter exactly 3: entrywise >=,
-    with strict entries recorded but never asserted. Diameter < 3 is out of
-    scope and counted as excluded.
-    """
-    t0 = time.perf_counter()
-    instances = []
-    for n in range(1, n_max + 1):
-        instances.extend(enumerate_connected_graphs(n))
-    report = TheoremReport(theorem="L4.1", params={"n_max": n_max})
-    results = _pmap(_identity_instance, instances, jobs)
-    case_counts = {"equality": 0, "dominance": 0}
-    strict_instances = 0
-    exact_at_3 = 0
-    for res in results:
-        if res.get("excluded"):
-            report.excluded += 1
-            continue
-        report.checked += 1
-        case_counts[res["case"]] += 1
-        status = "ok" if res["ok"] else "violation"
-        if res["case"] == "dominance":
-            if res["strict_pairs"] > 0:
-                strict_instances += 1
-                if report.witness is None:
-                    report.witness = res["graph"]
-            else:
-                exact_at_3 += 1
-        if not res["ok"]:
-            i, j, lhs, rhs = res["first_bad"]
-            report.violations.append(
-                {
-                    "graph": res["graph"],
-                    "lhs": float(lhs),
-                    "rhs": float(rhs),
-                    "margin": float(lhs - rhs),
-                    "reason": f"{res['case']} fails at entry ({i},{j})",
-                }
-            )
-        report.rows.append(
-            {
-                "graph": res["graph"],
-                "side": res["case"],
-                "lhs": float(res["strict_pairs"]),
-                "rhs": 0.0,
-                "margin": 0.0,
-                "status": status,
-            }
-        )
-    report.notes.append(f"diameter > 3 instances (exact equality required): {case_counts['equality']}")
-    report.notes.append(f"diameter = 3 instances (entrywise >= required): {case_counts['dominance']}")
-    report.notes.append(
-        f"diameter = 3 instances with at least one strict entry: {strict_instances}; "
-        f"with exact equality anyway: {exact_at_3}"
-    )
-    report.notes.append("witness: first diameter-3 graph with a strict entry")
-    report.elapsed = time.perf_counter() - t0
-    return report
-
-
-def _move_instance(spec, theorem):
-    kind = _MOVE[theorem]
-    n, s, sub_seed = spec
-    g = random_clique_tree(n, s, sub_seed)
+def _block_bound(g, p, kind, side):
     decomp = block_decomposition(g)
     if not _has_spread_cut_pair(decomp):
-        return {"excluded": True}
+        return None
+    sizes = tuple(sorted(len(b) for b in decomp.blocks))
+    return _versus(g, kind, (side, _comparators("path" if side == "lower" else "star", sizes)))
+
+
+def _completion(g, p, kind, side):
+    if not _has_spread_cut_pair(block_decomposition(g)):
+        return None
+    return _versus(g, kind, (side, (complete_blocks(g),)))
+
+
+def _clique_move(spec, p, kind, toward_smaller_entry):
+    """Every admissible move of one sampled clique tree.
+
+    L2.1 moves an end clique from v to w when x(v) >= x(w) for the Perron
+    vector x, L4.2 when x(w) >= x(v); either way the radius must not drop.
+    """
+    g = random_clique_tree(*spec)
+    decomp = block_decomposition(g)
+    if not _has_spread_cut_pair(decomp):
+        return None
     pair = spectral_radius(g, kind, tol=DEFAULT_TOL)
     lam0 = pair.value
     x = pair.vector
@@ -576,166 +239,353 @@ def _move_instance(spec, theorem):
         for w in sorted(decomp.cut_vertices):
             if w in block and w != v:
                 continue
-            if theorem == "L2.1":
-                admissible = x[v] >= x[w] - ENTRY_SLACK
-            else:
-                admissible = x[w] >= x[v] - ENTRY_SLACK
-            if not admissible:
+            big, small = (v, w) if toward_smaller_entry else (w, v)
+            if not x[big] >= x[small] - ENTRY_SLACK:
                 continue
             if w == v:
                 # identical graph, exact tie by construction
                 comparisons.append(("move", lam0, lam0, 0.0, True))
                 continue
             h = move_clique(g, block, v, w)
-            lam1 = _lam(h, kind)
-            tie_ok = are_isomorphic(g, h) if abs(lam1 - lam0) <= EPS else None
-            comparisons.append(("move", lam0, lam1, lam1 - lam0, tie_ok))
+            comparisons.append(_compared(g, "move", lam0, _lam(h, kind), (h,)))
     return {"graph": _gstr(g), "comparisons": comparisons}
 
 
-def _check_clique_move(theorem, trials, seed, n_max, jobs):
-    if n_max < 5:
-        raise GraphError("clique-move sampling needs n_max >= 5")
-    t0 = time.perf_counter()
-    rng = random.Random(seed)
+def _identity(g, p):
+    """D(G^c) against J - I + A(G): equal for diameter > 3, >= for diameter 3."""
+    d = diameter(g)
+    if d < 3:
+        return None
+    dc = complement_distance_matrix(g)
+    target = 1 - np.eye(g.n, dtype=np.int64) + adjacency_matrix(g)
+    bad = np.argwhere(dc != target if d > 3 else dc < target)
+    first_bad = None
+    if len(bad):
+        i, j = int(bad[0][0]), int(bad[0][1])
+        first_bad = (i, j, int(dc[i, j]), int(target[i, j]))
+    return {
+        "graph": _gstr(g),
+        "case": "equality" if d > 3 else "dominance",
+        "strict_pairs": int((dc > target).sum()) // 2 if d == 3 else 0,
+        "first_bad": first_bad,
+    }
+
+
+def _class_member(g, p, kind):
+    """(diameter, radius, g) for a graph in diameter class d or d + 1."""
+    dg = diameter(g)
+    if dg not in (p["d"], p["d"] + 1):
+        return None
+    return (dg, _lam(g, kind), g)
+
+
+# Reductions fold the kept (non-None) records into a report whose checked and
+# excluded counts run_check has already set.
+
+
+def _violate(report, graph, lhs, rhs, margin, reason):
+    report.violations.append(
+        {"graph": graph, "lhs": lhs, "rhs": rhs, "margin": margin, "reason": reason}
+    )
+
+
+def _record(report, graph, side, lhs, rhs, margin, status):
+    """Append one CSV row, counting it if it is a tie."""
+    if status == "tie":
+        report.ties += 1
+    report.rows.append(
+        {"graph": graph, "side": side, "lhs": lhs, "rhs": rhs, "margin": margin, "status": status}
+    )
+
+
+def _judge(report, graph, side, lhs, rhs, slack, bad_tie=False):
+    """Record one comparison as ok, tie or violation; a bad tie is a violation."""
+    if abs(lhs - rhs) <= EPS:
+        status = "violation" if bad_tie else "tie"
+        reason = "equality-characterization"
+    else:
+        status = "violation" if slack < -EPS else "ok"
+        reason = "inequality"
+    if status == "violation":
+        _violate(report, graph, lhs, rhs, slack, reason)
+    _record(report, graph, side, lhs, rhs, slack, status)
+    return status
+
+
+def _reduce(report, results, p, eq_required=True):
+    """Fold comparison records; with eq_required a tie must be an equality case."""
+    best = float("inf")
+    loose_ties = 0
+    for res in results:
+        for side, lhs, rhs, slack, tie_ok in res["comparisons"]:
+            status = _judge(report, res["graph"], side, lhs, rhs, slack, eq_required and not tie_ok)
+            if status == "tie" and not tie_ok:
+                loose_ties += 1
+            if slack < best:
+                best = slack
+                report.witness = res["graph"]
+    if loose_ties:
+        report.notes.append(
+            f"ties not isomorphic to the comparator: {loose_ties} "
+            "(no equality case is stated for this bound)"
+        )
+
+
+def _reduce_moves(report, results, p):
+    _reduce(report, results, p)
+    # checked counted sampled trees so far; restate it as admissible moves
+    trees_checked = report.checked
+    report.checked = len(report.rows)
+    report.notes.append(
+        f"trees sampled: {p['trials']}; passing the two-spread-cut-vertices hypothesis: "
+        f"{trees_checked}; admissible moves checked: {report.checked}"
+    )
+
+
+def _reduce_identity(report, results, p):
+    cases = {"equality": 0, "dominance": 0}
+    strict = 0
+    for res in results:
+        cases[res["case"]] += 1
+        if res["strict_pairs"] > 0:
+            strict += 1
+            if report.witness is None:
+                report.witness = res["graph"]
+        status = "ok"
+        if res["first_bad"] is not None:
+            status = "violation"
+            i, j, lhs, rhs = res["first_bad"]
+            reason = f"{res['case']} fails at entry ({i},{j})"
+            _violate(report, res["graph"], float(lhs), float(rhs), float(lhs - rhs), reason)
+        _record(report, res["graph"], res["case"], float(res["strict_pairs"]), 0.0, 0.0, status)
+    report.notes.append(f"diameter > 3 instances (exact equality required): {cases['equality']}")
+    report.notes.append(f"diameter = 3 instances (entrywise >= required): {cases['dominance']}")
+    report.notes.append(
+        f"diameter = 3 instances with at least one strict entry: {strict}; "
+        f"with exact equality anyway: {cases['dominance'] - strict}"
+    )
+
+
+def _reduce_class_max(report, results, p, rising):
+    """Compare the class maxima over diameters d and d + 1.
+
+    Not rising (L2.3/L4.3): the d-class maximum must dominate; rising (L3.1):
+    the (d+1)-class maximum must. An empty class makes the run vacuous.
+    """
+    d = p["d"]
+    classes = {d: [], d + 1: []}
+    for res in results:
+        classes[res[0]].append(res)
+    empty = [f"d={k}" for k, members in classes.items() if not members]
+    if empty:
+        report.notes.append(f"vacuous: empty diameter class ({', '.join(empty)})")
+        return
+    tops = {k: max(members, key=lambda r: r[1]) for k, members in classes.items()}
+    lhs, rhs = (tops[d + 1], tops[d]) if rising else (tops[d], tops[d + 1])
+    report.witness = _gstr(lhs[2])
+    if _judge(report, report.witness, "classmax", lhs[1], rhs[1], lhs[1] - rhs[1]) == "tie":
+        report.notes.append("class maxima tie within tolerance (no equality case stated)")
+    for k, (_, lam, g) in tops.items():
+        report.notes.append(
+            f"class d={k}: {len(classes[k])} graphs, max {format(lam, '.12g')} at {_gstr(g)}"
+        )
+
+
+class Claim(NamedTuple):
+    """What one claim states and how run_check checks it.
+
+    params maps each report parameter, in report order, to (default, minimum
+    or None); family maps params to the instances. Functions of other layers
+    are called by name, never stored here, so wrappers on them see each call.
+    """
+
+    text: str
+    params: dict
+    family: Callable
+    instance: Callable
+    reduce: Callable
+    notes: tuple = ()
+
+
+def _trees(p):
+    return list(enumerate_trees(p["n"]))
+
+
+def _clique_trees(p):
+    svals = range(1, p["n"]) if p.get("s", "all") == "all" else [p["s"]]
+    return [g for s in svals for g in enumerate_clique_trees(p["n"], s)]
+
+
+def _connected(p):
+    return list(enumerate_connected_graphs(p["n"]))
+
+
+def _connected_up_to(first, p):
+    return [g for n in range(first, p["n_max"] + 1) for g in enumerate_connected_graphs(n)]
+
+
+def _move_specs(p):
+    rng = random.Random(p["seed"])
     specs = []
-    for _ in range(trials):
-        n = rng.randint(5, n_max)
+    for _ in range(p["trials"]):
+        n = rng.randint(5, p["n_max"])
         s = rng.randint(2, n - 1)
         specs.append((n, s, rng.randrange(2**32)))
-    report = TheoremReport(
-        theorem=theorem, params={"trials": trials, "seed": seed, "n_max": n_max}
-    )
-    results = _pmap(partial(_move_instance, theorem=theorem), specs, jobs)
-    _reduce(report, results, eq_required=True)
-    # here checked counted instances (trees); restate it as admissible moves
-    moves = len(report.rows)
-    trees_checked = report.checked
-    report.checked = moves
-    report.notes.append(
-        f"trees sampled: {trials}; passing the two-spread-cut-vertices hypothesis: "
-        f"{trees_checked}; admissible moves checked: {moves}"
-    )
-    report.notes.append(
+    return specs
+
+
+ADJ = "complement_adjacency"
+DIST = "complement_distance"
+CLIQUE_TREES = {"n": (6, 1), "s": ("all", None)}
+BLOCK_GRAPHS = {"n": (6, 1)}
+HYPOTHESIS = "hypothesis: two cut vertices sharing no block; others excluded"
+NO_EQUALITY = "no equality characterization is stated for this bound"
+
+
+def _bound_claim(text, params, family, kind, side, *notes, eq_required=True):
+    instance = partial(_block_bound, kind=kind, side=side)
+    reduce = partial(_reduce, eq_required=eq_required)
+    return Claim(text, params, family, instance, reduce, (HYPOTHESIS, ORDERING_NOTE, *notes))
+
+
+def _tree_claim(text, kind):
+    notes = ("hypothesis: trees with diameter > 3; others excluded",)
+    return Claim(text, {"n": (8, 1)}, _trees, partial(_tree_chain, kind=kind), _reduce, notes)
+
+
+def _class_max_claim(text, family, kind, rising=False):
+    instance = partial(_class_member, kind=kind)
+    reduce = partial(_reduce_class_max, rising=rising)
+    return Claim(text, {"n": (6, 1), "d": (3, 3)}, family, instance, reduce)
+
+
+def _completion_claim(text, kind, side):
+    family = partial(_connected_up_to, 2)
+    instance = partial(_completion, kind=kind, side=side)
+    notes = (HYPOTHESIS, "ties must be graphs already equal to their block completion")
+    return Claim(text, {"n_max": (5, 1)}, family, instance, _reduce, notes)
+
+
+def _move_claim(text, kind, toward_smaller_entry):
+    params = {"trials": (1000, 0), "seed": (0, None), "n_max": (10, 5)}
+    instance = partial(_clique_move, kind=kind, toward_smaller_entry=toward_smaller_entry)
+    notes = (
         "an admissible move satisfies the Perron-entry precondition within 1e-12; "
-        "identity moves (w = v) are recorded as exact ties"
+        "identity moves (w = v) are recorded as exact ties",
     )
-    report.elapsed = time.perf_counter() - t0
-    return report
+    return Claim(text, params, _move_specs, instance, _reduce_moves, notes)
 
 
-def check_clique_move_adjacency(trials=1000, seed=0, n_max=10, jobs=1):
-    """Sampled check of L2.1: if x(v) >= x(w) for the Perron vector of
-    A(C^c), moving an end clique from v to w cannot lower the spectral
-    radius; equality only when the result is the same graph."""
-    return _check_clique_move("L2.1", trials, seed, n_max, jobs)
+CLAIMS = {
+    "L2.1": _move_claim(
+        "clique move keeps adjacency spectral radius of the complement non-decreasing", ADJ, True
+    ),
+    "T2.2": _bound_claim(
+        "clique-star upper bound, adjacency spectral radius of complements of clique trees",
+        CLIQUE_TREES, _clique_trees, ADJ, "upper", NO_EQUALITY, eq_required=False,
+    ),
+    "L2.3": _class_max_claim(
+        "class max over clique trees non-increasing in diameter (adjacency of complement)",
+        _clique_trees, ADJ,
+    ),
+    "T2.4": _bound_claim(
+        "clique-path lower bound, adjacency spectral radius of complements of clique trees",
+        CLIQUE_TREES, _clique_trees, ADJ, "lower",
+    ),
+    "T2.5": _tree_claim(
+        "path/broom chain over trees, adjacency spectral radius of complements", ADJ
+    ),
+    # Unlike T3.3, T5.2, L3.2 and L5.1, L3.1 keeps every connected graph: no
+    # two-spread-cut-vertex filter. The README's "Criterion 7 fails" section
+    # shows its verdict is the same on the filtered pool.
+    "L3.1": _class_max_claim(
+        "class max over block graphs non-decreasing in diameter (adjacency of complement); "
+        "pool: all connected graphs, no two-spread-cut-vertex filter "
+        "(README, 'Criterion 7 fails')",
+        _connected, ADJ, rising=True,
+    ),
+    "L3.2": _completion_claim(
+        "block completion does not raise the adjacency spectral radius of the complement",
+        ADJ, "lower",
+    ),
+    "T3.3": _bound_claim(
+        "clique-path lower bound, adjacency spectral radius of complements of block graphs",
+        BLOCK_GRAPHS, _connected, ADJ, "lower",
+        "equality case tested as B isomorphic to the clique path itself; the "
+        "claim's equality clause names the complement on one side, which is "
+        "inconsistent with the parallel claims and flagged here rather than guessed",
+    ),
+    "L4.1": Claim(
+        "complement distance matrix identity D(G^c) = J - I + A(G) for diameter > 3",
+        {"n_max": (6, 1)}, partial(_connected_up_to, 1), _identity, _reduce_identity,
+        ("witness: first diameter-3 graph with a strict entry",),
+    ),
+    "L4.2": _move_claim(
+        "clique move keeps distance spectral radius of the complement non-decreasing", DIST, False
+    ),
+    "L4.3": _class_max_claim(
+        "class max over clique trees non-increasing in diameter (distance of complement)",
+        _clique_trees, DIST,
+    ),
+    "L4.4": _bound_claim(
+        "clique-path lower bound, distance spectral radius of complements of clique trees",
+        CLIQUE_TREES, _clique_trees, DIST, "lower",
+    ),
+    "T4.5": _bound_claim(
+        "clique-star upper bound, distance spectral radius of complements of clique trees",
+        CLIQUE_TREES, _clique_trees, DIST, "upper", NO_EQUALITY, eq_required=False,
+    ),
+    "T4.6": _tree_claim(
+        "path/broom chain over trees, distance spectral radius of complements", DIST
+    ),
+    "L5.1": _completion_claim(
+        "block completion does not lower the distance spectral radius of the complement",
+        DIST, "upper",
+    ),
+    "T5.2": _bound_claim(
+        "clique-star upper bound, distance spectral radius of complements of block graphs",
+        BLOCK_GRAPHS, _connected, DIST, "upper",
+    ),
+}
+
+THEOREMS = {tid: claim.text for tid, claim in CLAIMS.items()}
 
 
-def check_clique_move_distance(trials=1000, seed=0, n_max=10, jobs=1):
-    """Sampled check of L4.2, the distance analogue with the reversed
-    Perron-entry condition x(w) >= x(v)."""
-    return _check_clique_move("L4.2", trials, seed, n_max, jobs)
-
-
-def _lam_of(g, kind):
-    return _lam(g, kind)
-
-
-def check_diameter_monotonicity(theorem, n=6, d=3, jobs=1):
-    """Compare class maxima over diameter classes d and d+1.
-
-    L2.3/L4.3 (clique trees): the max over diameter d dominates the max over
-    d+1. L3.1 (block graphs): the direction reverses. Empty classes yield a
-    vacuous report, flagged in notes, never a silent pass.
-    """
-    theorem = ALIASES.get(theorem, theorem)
-    if theorem not in _MONO:
-        raise GraphError(f"not a diameter-monotonicity claim id: {theorem!r}")
-    if d < 3:
-        raise GraphError(f"diameter-monotonicity checks need d >= 3, got d={d}")
-    family, kind, direction = _MONO[theorem]
-    t0 = time.perf_counter()
-    if family == "clique_tree":
-        pool = []
-        for sv in range(1, n):
-            pool.extend(enumerate_clique_trees(n, sv))
-    else:
-        pool = list(enumerate_connected_graphs(n))
-    class_d = [g for g in pool if diameter(g) == d]
-    class_d1 = [g for g in pool if diameter(g) == d + 1]
-    report = TheoremReport(theorem=theorem, params={"n": n, "d": d})
-    report.excluded = len(pool) - len(class_d) - len(class_d1)
-    report.checked = len(class_d) + len(class_d1)
-    if not class_d or not class_d1:
-        empty = [f"d={d}"] if not class_d else []
-        empty += [f"d={d + 1}"] if not class_d1 else []
-        report.notes.append(f"vacuous: empty diameter class ({', '.join(empty)})")
-        report.elapsed = time.perf_counter() - t0
-        return report
-    lams_d = _pmap(partial(_lam_of, kind=kind), class_d, jobs)
-    lams_d1 = _pmap(partial(_lam_of, kind=kind), class_d1, jobs)
-    kd = max(range(len(class_d)), key=lambda i: lams_d[i])
-    kd1 = max(range(len(class_d1)), key=lambda i: lams_d1[i])
-    max_d, wit_d = lams_d[kd], class_d[kd]
-    max_d1, wit_d1 = lams_d1[kd1], class_d1[kd1]
-    if direction == "d_side":
-        lhs, rhs, wit = max_d, max_d1, wit_d
-    else:
-        lhs, rhs, wit = max_d1, max_d, wit_d1
-    slack = lhs - rhs
-    status = "ok"
-    if abs(lhs - rhs) <= EPS:
-        status = "tie"
-        report.ties += 1
-        report.notes.append("class maxima tie within tolerance (no equality case stated)")
-    elif slack < -EPS:
-        status = "violation"
-        report.violations.append(
-            {
-                "graph": _gstr(wit),
-                "lhs": lhs,
-                "rhs": rhs,
-                "margin": slack,
-                "reason": "inequality",
-            }
-        )
-    report.witness = _gstr(wit)
-    report.rows.append(
-        {
-            "graph": _gstr(wit),
-            "side": "classmax",
-            "lhs": lhs,
-            "rhs": rhs,
-            "margin": slack,
-            "status": status,
-        }
-    )
-    report.notes.append(
-        f"class d={d}: {len(class_d)} graphs, max {format(max_d, '.12g')} at {_gstr(wit_d)}"
-    )
-    report.notes.append(
-        f"class d={d + 1}: {len(class_d1)} graphs, max {format(max_d1, '.12g')} at {_gstr(wit_d1)}"
-    )
-    report.elapsed = time.perf_counter() - t0
-    return report
+def _apply(tid, p, item):
+    # pool workers get the claim id, never a record's callables, which need not pickle
+    return CLAIMS[tid].instance(item, p)
 
 
 def run_check(theorem, n=None, s=None, d=None, trials=None, seed=None, jobs=1):
-    """Dispatch a claim id to its check with sensible defaults."""
+    """Check one claim: validate and default its parameters, enumerate its
+    family, compare each instance over `jobs` processes, reduce to a report.
+
+    n sets n_max where a claim takes one; parameters a claim does not take
+    are ignored. Bad input raises GraphError. A run that checks no instance
+    says so in its notes.
+    """
     tid = ALIASES.get(theorem, theorem)
-    if tid not in THEOREMS:
-        known = ", ".join(sorted(THEOREMS))
+    if tid not in CLAIMS:
+        known = ", ".join(sorted(CLAIMS))
         raise GraphError(f"unknown theorem id {theorem!r}; known ids: {known}")
-    trials = 1000 if trials is None else trials
-    seed = 0 if seed is None else seed
-    if tid == "L4.1":
-        return check_lemma_complement_distance(n_max=6 if n is None else n, jobs=jobs)
-    if tid == "L2.1":
-        return check_clique_move_adjacency(trials, seed, n_max=10 if n is None else n, jobs=jobs)
-    if tid == "L4.2":
-        return check_clique_move_distance(trials, seed, n_max=10 if n is None else n, jobs=jobs)
-    if tid in _MONO:
-        return check_diameter_monotonicity(tid, n=6 if n is None else n, d=3 if d is None else d, jobs=jobs)
-    if tid in _COMPLETION:
-        return check_block_completion(tid, n_max=5 if n is None else n, jobs=jobs)
-    return check_extremal(tid, n=n, s=s, jobs=jobs)
+    claim = CLAIMS[tid]
+    given = {"n": n, "n_max": n, "s": s, "d": d, "trials": trials, "seed": seed}
+    p = {}
+    for key, (default, minimum) in claim.params.items():
+        value = default if given[key] is None else given[key]
+        if minimum is not None and value < minimum:
+            name = "n" if key == "n_max" else key
+            raise GraphError(f"{tid} needs {name} >= {minimum}, got {name}={value}")
+        p[key] = value
+    t0 = time.perf_counter()
+    results = _pmap(partial(_apply, tid, p), claim.family(p), jobs)
+    kept = [res for res in results if res is not None]
+    report = TheoremReport(
+        theorem=tid, params=p, checked=len(kept), excluded=len(results) - len(kept)
+    )
+    claim.reduce(report, kept, p)
+    if report.checked == 0 and not any(note.startswith("vacuous") for note in report.notes):
+        report.notes.append(VACUOUS_NOTE)
+    report.notes.extend(claim.notes)
+    report.elapsed = time.perf_counter() - t0
+    return report

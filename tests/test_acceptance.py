@@ -34,14 +34,7 @@ from blockspectra import (
     is_clique_tree,
     path_graph,
 )
-from blockspectra.verify import (
-    check_block_completion,
-    check_clique_move_adjacency,
-    check_clique_move_distance,
-    check_diameter_monotonicity,
-    check_extremal,
-    check_lemma_complement_distance,
-)
+from blockspectra.verify import run_check
 
 EPS = 1e-8
 
@@ -75,7 +68,7 @@ def test_criterion_1_closed_forms():
 
 def test_criterion_2_distance_identity():
     t0 = time.time()
-    report = check_lemma_complement_distance(n_max=7)
+    report = run_check("L4.1", n=7)
     elapsed = time.time() - t0
     strict_note = next(n for n in report.notes if "strict" in n)
     # P4 must show up as a strict diameter-3 instance
@@ -100,7 +93,7 @@ def test_criterion_3_tree_chains(module_launch):
     details = []
     for tid in ("T2.5", "T4.6"):
         for n in (7, 8):
-            report = check_extremal(tid, n=n)
+            report = run_check(tid, n=n)
             assert report.passed, (tid, n, report.violations)
             assert report.checked > 0
             assert report.checked + report.excluded == len(list(enumerate_trees(n)))
@@ -126,7 +119,7 @@ def test_criterion_4_clique_tree_bounds():
     for tid in ("T2.2", "T2.4", "T4.4", "T4.5"):
         checked = 0
         for n in range(2, 8):
-            report = check_extremal(tid, n=n)
+            report = run_check(tid, n=n)
             assert report.passed, (tid, n, report.violations)
             assert not any(note.startswith("ties not isomorphic") for note in report.notes)
             checked += report.checked
@@ -142,13 +135,13 @@ def test_criterion_5_block_graph_bounds():
     t0 = time.time()
     details = []
     for tid in ("L3.2", "L5.1"):
-        report = check_block_completion(tid, n_max=6)
+        report = run_check(tid, n=6)
         assert report.passed, (tid, report.violations)
         details.append(f"{tid} checked={report.checked} ties={report.ties}")
     for tid in ("T3.3", "T5.2"):
         checked = 0
         for n in range(2, 7):
-            report = check_extremal(tid, n=n)
+            report = run_check(tid, n=n)
             assert report.passed, (tid, n, report.violations)
             checked += report.checked
         details.append(f"{tid} checked={checked}")
@@ -162,11 +155,8 @@ def test_criterion_5_block_graph_bounds():
 def test_criterion_6_clique_moves():
     t0 = time.time()
     details = []
-    for name, check in (
-        ("L2.1", check_clique_move_adjacency),
-        ("L4.2", check_clique_move_distance),
-    ):
-        report = check(trials=1000, seed=0, n_max=10)
+    for name in ("L2.1", "L4.2"):
+        report = run_check(name, trials=1000, seed=0, n=10)
         assert report.passed, (name, report.violations[:3])
         assert report.ties >= 1
         assert not any(note.startswith("ties not isomorphic") for note in report.notes)
@@ -184,7 +174,7 @@ def test_criterion_7_diameter_monotonicity():
     for tid in ("L2.3", "L3.1", "L4.3"):
         for n in (6, 7):
             for d in range(3, n):
-                report = check_diameter_monotonicity(tid, n=n, d=d)
+                report = run_check(tid, n=n, d=d)
                 vac = any(note.startswith("vacuous") for note in report.notes)
                 if vac:
                     details.append(f"{tid} n={n} d={d} vacuous")

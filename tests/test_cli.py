@@ -213,6 +213,32 @@ class TestEnumerate:
         assert code == 1 and "capped" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "L2.1", "--trials", "-5"],
+        ["verify", "L4.1", "--n", "0"],
+        ["verify", "T2.4", "--n", "0"],
+        ["verify", "L3.2", "--n", "0"],
+        ["verify", "L2.3", "--d", "2"],
+        ["verify", "L4.2", "--n", "4"],
+        ["spectrum", "--tol", "nan"],
+        ["spectrum", "--tol", "0"],
+        ["spectrum", "--tol", "-0.5"],
+        ["spectrum", "--tol", "inf"],
+    ],
+)
+def test_bad_parameter_is_a_one_line_error(capsys, monkeypatch, argv):
+    if argv[0] == "verify":
+        argv = [*argv, "--jobs", "1"]
+    code, out, err = run_cli(
+        capsys, argv, stdin_text=format_edge_list(path_graph(4)), monkeypatch=monkeypatch
+    )
+    assert code == 1
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
 class TestUsage:
     def test_no_command_exits_1(self, capsys):
         assert run_cli(capsys, [])[0] == 1

@@ -23,10 +23,8 @@ from blockspectra import (
     enumerate_connected_graphs,
     from_edge_list,
     jacobi_eigh,
-    matrix_to_tsv,
     path_graph,
     power_iteration,
-    rayleigh_quotient,
     spectral_radius,
 )
 
@@ -71,11 +69,6 @@ class TestMatrixBuilders:
     def test_distance_rejects_disconnected(self):
         with pytest.raises(GraphError):
             distance_matrix(from_edge_list(4, [(0, 1), (2, 3)]))
-
-    def test_matrix_to_tsv(self):
-        assert matrix_to_tsv(np.array([[0, 1], [1, 0]])) == "0\t1\n1\t0\n"
-        text = matrix_to_tsv(np.array([[1.0 / 3.0]]))
-        assert text == format(1.0 / 3.0, ".17g") + "\n"
 
 
 class TestDominantEigenpair:
@@ -171,19 +164,6 @@ class TestSolverRoutes:
 
 
 class TestRayleigh:
-    def test_examples(self):
-        assert rayleigh_quotient(adjacency_matrix(complete_graph(2)), np.array([1.0, 1.0])) == pytest.approx(1.0)
-        a = adjacency_matrix(path_graph(3))
-        pair = dominant_eigenpair(a)
-        assert rayleigh_quotient(a, pair.vector) == pytest.approx(math.sqrt(2), abs=1e-9)
-        m = distance_matrix(path_graph(4))
-        e0 = np.array([1.0, 0.0, 0.0, 0.0])
-        assert rayleigh_quotient(m, e0) == m[0, 0]
-
-    def test_zero_vector_rejected(self):
-        with pytest.raises(SpectralError):
-            rayleigh_quotient(np.eye(3), np.zeros(3))
-
     def test_rayleigh_bound_1000_random_unit_vectors(self):
         rng = np.random.default_rng(6)
         for g in (path_graph(7), star_graph(7), complete_graph(7)):

@@ -1,4 +1,4 @@
-"""Clique moves, block completion, and edge deletion."""
+"""Clique moves and block completion."""
 
 import itertools
 
@@ -12,7 +12,6 @@ from blockspectra import (
     complement_distance_matrix,
     complete_blocks,
     complete_graph,
-    delete_block_edges,
     diameter,
     end_cliques,
     from_edge_list,
@@ -158,41 +157,9 @@ class TestCompleteBlocks:
             complete_blocks(from_edge_list(4, [(0, 1), (2, 3)]))
 
 
-class TestDeleteBlockEdges:
-    def test_k4_minus_edge(self):
-        h = delete_block_edges(complete_graph(4), [(0, 1)])
-        assert len(h.edges) == 5 and not h.has_edge(0, 1)
-
-    def test_c4_minus_edge_stretches_diameter(self):
-        g = cycle_graph(4)
-        assert diameter(g) == 2
-        h = delete_block_edges(g, [(0, 1)])
-        assert are_isomorphic(h, path_graph(4))
-        assert diameter(h) == 3
-
-    def test_multiple_edges(self):
-        h = delete_block_edges(complete_graph(5), [(0, 1), (2, 3)])
-        assert len(h.edges) == 8
-
-    def test_bridge_rejected(self):
-        with pytest.raises(GraphError):
-            delete_block_edges(path_graph(4), [(1, 2)])
-
-    def test_duplicate_rejected(self):
-        with pytest.raises(GraphError):
-            delete_block_edges(complete_graph(4), [(0, 1), (1, 0)])
-
-    def test_missing_edge_rejected(self):
-        with pytest.raises(GraphError):
-            delete_block_edges(cycle_graph(4), [(0, 2)])
-        with pytest.raises(GraphError):
-            delete_block_edges(cycle_graph(4), [(0, 9)])
-
-
 def test_public_surface():
     assert set(transforms_all) == {
         "end_cliques",
         "move_clique",
         "complete_blocks",
-        "delete_block_edges",
     }

@@ -17,15 +17,10 @@ from blockspectra import (
 )
 from blockspectra.verify import (
     ALIASES,
+    CLAIMS,
     EPS,
     THEOREMS,
     TheoremReport,
-    check_block_completion,
-    check_clique_move_adjacency,
-    check_clique_move_distance,
-    check_diameter_monotonicity,
-    check_extremal,
-    check_lemma_complement_distance,
     run_check,
 )
 
@@ -69,6 +64,10 @@ class TestDispatch:
     def test_ids_cover_registry(self):
         assert set(SMOKE_PARAMS) == set(THEOREMS)
 
+    def test_theorems_is_the_registry_text(self):
+        assert THEOREMS == {tid: claim.text for tid, claim in CLAIMS.items()}
+        assert "all connected graphs" in THEOREMS["L3.1"]
+
     def test_alias(self):
         report = run_check("T4.4", n=5)
         assert report.theorem == "L4.4"
@@ -79,67 +78,87 @@ class TestDispatch:
             run_check("X9.9")
 
 
+class TestVacuity:
+    @pytest.mark.parametrize(
+        "tid, kwargs",
+        [
+            ("L4.1", dict(n=3)),
+            ("L2.1", dict(trials=0)),
+            ("L4.2", dict(trials=0)),
+            ("T2.4", dict(n=1)),
+            ("T3.3", dict(n=3)),
+            ("L3.2", dict(n=1)),
+            ("T2.5", dict(n=3)),
+            ("L2.3", dict(n=3, d=3)),
+        ],
+    )
+    def test_zero_checked_is_flagged_once(self, tid, kwargs):
+        report = run_check(tid, **kwargs)
+        assert report.checked == 0 and report.passed
+        assert sum(note.startswith("vacuous") for note in report.notes) == 1
+
+
 class TestExhaustiveness:
     def test_clique_tree_family_counts(self):
         # 22 clique-tree classes on 6 vertices across all s
-        report = check_extremal("T2.4", n=6)
+        report = run_check("T2.4", n=6)
         assert report.checked + report.excluded == 22
 
     def test_tree_family_counts(self):
-        report = check_extremal("T2.5", n=7)
+        report = run_check("T2.5", n=7)
         assert report.checked + report.excluded == 11
 
     def test_block_graph_family_counts(self):
-        report = check_extremal("T3.3", n=5)
+        report = run_check("T3.3", n=5)
         assert report.checked + report.excluded == 21
 
     def test_identity_counts(self):
-        report = check_lemma_complement_distance(n_max=5)
+        report = run_check("L4.1", n=5)
         assert report.checked + report.excluded == 1 + 1 + 2 + 6 + 21
 
 
 class TestExtremal:
     def test_lower_bound_ties_are_the_comparator(self):
-        report = check_extremal("T2.4", n=6)
+        report = run_check("T2.4", n=6)
         assert report.passed
         assert report.ties >= 1
         assert not any("not isomorphic" in note for note in report.notes)
 
     def test_upper_bounds_pass(self):
         for tid in ("T2.2", "T4.5"):
-            report = check_extremal(tid, n=6)
+            report = run_check(tid, n=6)
             assert report.passed, report.violations
             assert any("no equality characterization" in note for note in report.notes)
 
     def test_single_s_restriction(self):
-        full = check_extremal("T2.4", n=6)
-        parts = [check_extremal("T2.4", n=6, s=s) for s in range(1, 6)]
+        full = run_check("T2.4", n=6)
+        parts = [run_check("T2.4", n=6, s=s) for s in range(1, 6)]
         assert sum(p.checked for p in parts) == full.checked
         assert sum(p.excluded for p in parts) == full.excluded
         assert full.params["s"] == "all" and parts[0].params["s"] == 1
 
     def test_trees_include_broom_tie(self):
         for tid in ("T2.5", "T4.6"):
-            report = check_extremal(tid, n=8)
+            report = run_check(tid, n=8)
             assert report.passed
             assert report.ties >= 1
             assert report.witness is not None
 
     def test_block_graph_bounds_pass(self):
         for tid in ("T3.3", "T5.2"):
-            report = check_extremal(tid, n=6)
+            report = run_check(tid, n=6)
             assert report.passed, report.violations
 
 
 class TestIdentity:
     def test_small_witness_is_p4(self):
-        report = check_lemma_complement_distance(n_max=4)
+        report = run_check("L4.1", n=4)
         assert report.passed
         assert report.checked == 1 and report.excluded == 9
         assert are_isomorphic(witness_graph(report), path_graph(4))
 
     def test_case_notes(self):
-        report = check_lemma_complement_distance(n_max=6)
+        report = run_check("L4.1", n=6)
         assert report.passed
         assert any("diameter > 3" in note for note in report.notes)
         assert any("strict" in note for note in report.notes)
@@ -149,38 +168,38 @@ class TestMonotonicity:
     def test_clique_tree_direction_passes(self):
         for tid in ("L2.3", "L4.3"):
             for d in (3, 4):
-                report = check_diameter_monotonicity(tid, n=6, d=d)
+                report = run_check(tid, n=6, d=d)
                 assert report.passed, (tid, d, report.violations)
                 assert report.checked > 0
 
     def test_block_graph_direction_detects_counterexample(self):
-        report = check_diameter_monotonicity("L3.1", n=5, d=3)
+        report = run_check("L3.1", n=5, d=3)
         assert not report.passed
         assert report.violations[0]["margin"] < -EPS
         assert report.violations[0]["reason"] == "inequality"
 
     def test_vacuous_class_is_flagged(self):
-        report = check_diameter_monotonicity("L2.3", n=5, d=4)
+        report = run_check("L2.3", n=5, d=4)
         assert report.checked > 0  # the d=4 class itself is nonempty
         assert any(note.startswith("vacuous") for note in report.notes)
         assert report.passed
 
     def test_small_d_rejected(self):
         with pytest.raises(GraphError):
-            check_diameter_monotonicity("L2.3", n=6, d=2)
+            run_check("L2.3", n=6, d=2)
 
 
 class TestCompletion:
     def test_all_small_instances_are_fixed_points(self):
         # below n=7 every hypothesis-passing graph is already a clique tree
         for tid in ("L3.2", "L5.1"):
-            report = check_block_completion(tid, n_max=6)
+            report = run_check(tid, n=6)
             assert report.passed
             assert report.checked == report.ties
 
     def test_strict_instances_appear_at_n7(self):
         for tid in ("L3.2", "L5.1"):
-            report = check_block_completion(tid, n_max=7)
+            report = run_check(tid, n=7)
             assert report.passed, report.violations
             assert report.checked == 40
             assert report.checked > report.ties
@@ -188,29 +207,29 @@ class TestCompletion:
 
 class TestMoves:
     def test_adjacency_move_never_decreases(self):
-        report = check_clique_move_adjacency(trials=150, seed=0, n_max=9)
+        report = run_check("L2.1", trials=150, seed=0, n=9)
         assert report.passed, report.violations
         assert report.checked > 100
         assert report.ties >= 1
 
     def test_distance_move_never_decreases(self):
-        report = check_clique_move_distance(trials=150, seed=0, n_max=9)
+        report = run_check("L4.2", trials=150, seed=0, n=9)
         assert report.passed, report.violations
         assert report.checked > 100
 
     def test_seed_changes_sample(self):
-        a = check_clique_move_adjacency(trials=30, seed=1, n_max=8)
-        b = check_clique_move_adjacency(trials=30, seed=2, n_max=8)
+        a = run_check("L2.1", trials=30, seed=1, n=8)
+        b = run_check("L2.1", trials=30, seed=2, n=8)
         assert a.rows != b.rows
 
     def test_small_cap_rejected(self):
         with pytest.raises(GraphError):
-            check_clique_move_adjacency(trials=5, seed=0, n_max=4)
+            run_check("L2.1", trials=5, seed=0, n=4)
 
 
 class TestReports:
     def test_json_key_order(self):
-        report = check_extremal("T2.4", n=5)
+        report = run_check("T2.4", n=5)
         keys = list(json.loads(report.to_json()).keys())
         assert keys == [
             "theorem",
@@ -226,12 +245,12 @@ class TestReports:
         ]
 
     def test_violation_entries_carry_all_fields(self):
-        report = check_diameter_monotonicity("L3.1", n=5, d=3)
+        report = run_check("L3.1", n=5, d=3)
         v = json.loads(report.to_json())["violations"][0]
         assert set(v) == {"graph", "lhs", "rhs", "margin", "reason"}
 
     def test_csv_shape(self):
-        report = check_extremal("T2.4", n=5)
+        report = run_check("T2.4", n=5)
         lines = report.to_csv().strip().split("\n")
         assert lines[0] == "theorem,graph,side,lhs,rhs,margin,status"
         assert len(lines) == 1 + len(report.rows)
@@ -245,14 +264,14 @@ class TestReports:
             obj.pop("elapsed")
             return obj
 
-        a = check_extremal("T2.4", n=6, jobs=1)
-        b = check_extremal("T2.4", n=6, jobs=1)
-        c = check_extremal("T2.4", n=6, jobs=2)
+        a = run_check("T2.4", n=6, jobs=1)
+        b = run_check("T2.4", n=6, jobs=1)
+        c = run_check("T2.4", n=6, jobs=2)
         assert canon(a) == canon(b) == canon(c)
-        m1 = check_clique_move_adjacency(trials=60, seed=7, n_max=8, jobs=1)
-        m2 = check_clique_move_adjacency(trials=60, seed=7, n_max=8, jobs=2)
+        m1 = run_check("L2.1", trials=60, seed=7, n=8, jobs=1)
+        m2 = run_check("L2.1", trials=60, seed=7, n=8, jobs=2)
         assert canon(m1) == canon(m2)
 
     def test_tolerance_field(self):
-        report = check_extremal("T2.4", n=5)
+        report = run_check("T2.4", n=5)
         assert report.tolerance == EPS
