@@ -6,6 +6,7 @@ enumeration are cross-checked against brute subset enumeration with canonical
 dedup over all vertex permutations.
 """
 
+import hashlib
 import heapq
 import itertools
 
@@ -24,6 +25,7 @@ from blockspectra import (
     enumerate_clique_trees,
     enumerate_connected_graphs,
     enumerate_trees,
+    format_edge_list,
     from_edge_list,
     is_clique_tree,
     is_connected,
@@ -280,6 +282,32 @@ class TestEnumerateCliqueTrees:
             list(enumerate_clique_trees(3, 5))
         with pytest.raises(GraphError):
             list(enumerate_clique_trees(4, 0))
+
+
+class TestEnumerationOrder:
+    """Every report's bytes follow the enumerators' output order and their
+    first-seen representatives, so both are pinned here."""
+
+    @staticmethod
+    def digest(graphs):
+        text = "".join(format_edge_list(g) for g in graphs)
+        return hashlib.sha256(text.encode()).hexdigest()
+
+    def test_connected_n7(self):
+        assert self.digest(enumerate_connected_graphs(7)) == (
+            "d1c8a2a9708e2b1bd73b67d57fd3229f58bb3f340cf62135c7dabed343504d86"
+        )
+
+    def test_trees_n12(self):
+        assert self.digest(enumerate_trees(12)) == (
+            "c58547284289b81ece7d433a69ccf48e31ddee67cf7dda4f8655f946d5455d08"
+        )
+
+    def test_clique_trees_n10_all_s(self):
+        graphs = (g for s in range(1, 10) for g in enumerate_clique_trees(10, s))
+        assert self.digest(graphs) == (
+            "c1e4bf9c46567b7d17937abd3b4a2cecaed9e450cf564898d150f241e9730e88"
+        )
 
 
 class TestRandomCliqueTree:
