@@ -3,7 +3,7 @@
 A clique tree here is a connected graph whose blocks are all complete
 (standard "block graph"); the clique path and clique star are its extremal
 shapes. Enumerators yield exactly one representative per isomorphism class,
-deduplicated by refinement signatures plus pairwise isomorphism tests.
+the first candidate seen with each canonical form, in a fixed order.
 """
 
 from __future__ import annotations
@@ -13,13 +13,7 @@ import random
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .graphs import (
-    Graph,
-    GraphError,
-    _graph_from_pairs,
-    _iso_signature,
-    are_isomorphic,
-)
+from .graphs import Graph, GraphError, _graph_from_pairs, _twin_reps, canonical_form
 
 __all__ = [
     "CliqueTreeSpec",
@@ -137,20 +131,22 @@ def broom(n):
     return _graph_from_pairs(n, pairs)
 
 
-def _dedup_insert(buckets, g):
-    """Insert g into signature buckets unless an isomorphic copy is present."""
-    bucket = buckets.setdefault(_iso_signature(g), [])
-    for h in bucket:
-        if are_isomorphic(g, h):
-            return False
-    bucket.append(g)
-    return True
+def _attach_vertex(g, mask):
+    rows = list(g.rows) + [mask]
+    for v in range(g.n):
+        if (mask >> v) & 1:
+            rows[v] |= 1 << g.n
+    return Graph(g.n + 1, rows)
 
 
-def _add_leaf(t, v):
-    rows = list(t.rows) + [1 << v]
-    rows[v] |= 1 << t.n
-    return Graph(t.n + 1, rows)
+def _new_classes(candidates):
+    """The candidates whose isomorphism class was not seen before, in order."""
+    seen = set()
+    for g in candidates:
+        form = canonical_form(g)
+        if form not in seen:
+            seen.add(form)
+            yield g
 
 
 @lru_cache(maxsize=None)
@@ -161,27 +157,19 @@ def _tree_classes(n):
         raise GraphError(f"tree enumeration capped at n = 12, got {n}")
     if n == 1:
         return (Graph(1, (0,)),)
-    out = []
-    buckets = {}
-    for t in _tree_classes(n - 1):
-        for v in range(t.n):
-            g = _add_leaf(t, v)
-            if _dedup_insert(buckets, g):
-                out.append(g)
-    return tuple(out)
+    # a leaf at a twin of a lower vertex gives an isomorphic, already seen tree
+    return tuple(
+        _new_classes(
+            _attach_vertex(t, 1 << v)
+            for t in _tree_classes(n - 1)
+            for v in _twin_reps(t.rows, range(t.n))
+        )
+    )
 
 
 def enumerate_trees(n):
     """One representative per isomorphism class of trees on n vertices."""
     yield from _tree_classes(int(n))
-
-
-def _attach_vertex(g, mask):
-    rows = list(g.rows) + [mask]
-    for v in range(g.n):
-        if (mask >> v) & 1:
-            rows[v] |= 1 << g.n
-    return Graph(g.n + 1, rows)
 
 
 @lru_cache(maxsize=None)
@@ -192,15 +180,14 @@ def _connected_classes(n):
         raise GraphError(f"connected-graph enumeration capped at n = 7, got {n}")
     if n == 1:
         return (Graph(1, (0,)),)
-    out = []
-    buckets = {}
     # every connected graph arises by attaching its last non-cut vertex
-    for g in _connected_classes(n - 1):
-        for mask in range(1, 1 << g.n):
-            h = _attach_vertex(g, mask)
-            if _dedup_insert(buckets, h):
-                out.append(h)
-    return tuple(out)
+    return tuple(
+        _new_classes(
+            _attach_vertex(g, mask)
+            for g in _connected_classes(n - 1)
+            for mask in range(1, 1 << g.n)
+        )
+    )
 
 
 def enumerate_connected_graphs(n):
@@ -237,28 +224,27 @@ def _clique_tree_classes(n, s):
         raise GraphError(f"no clique tree has n={n} vertices and s={s} blocks")
     out = []
     for sizes in _size_multisets(n + s - 1, s):
-        # states: (signature, remaining multiset) -> graphs, grown one clique at a time
+        # (signature, remaining sizes) -> {canonical form: first graph seen},
+        # grown one clique at a time; the nesting fixes the output order
         level = {}
-        remaining = list(sizes)
         for a in sorted(set(sizes)):
-            rem = tuple(_removed(remaining, a))
-            bucket = level.setdefault((_iso_signature(complete_graph(a)), rem), [])
-            bucket.append(complete_graph(a))
+            k = complete_graph(a)
+            level[(canonical_form(k)[0], tuple(_removed(sizes, a)))] = {canonical_form(k): k}
         for _ in range(s - 1):
             nxt = {}
-            for (sig, rem), bucket in level.items():
-                for g in bucket:
+            for (_, rem), classes in level.items():
+                for g in classes.values():
+                    # gluing at a twin of a lower vertex repeats a class
+                    reps = _twin_reps(g.rows, range(g.n))
                     for a in sorted(set(rem)):
                         rem2 = tuple(_removed(rem, a))
-                        for v in range(g.n):
+                        for v in reps:
                             h = _glue_clique(g, v, a)
-                            key = (_iso_signature(h), rem2)
-                            hb = nxt.setdefault(key, [])
-                            if not any(are_isomorphic(h, x) for x in hb):
-                                hb.append(h)
+                            form = canonical_form(h)
+                            nxt.setdefault((form[0], rem2), {}).setdefault(form, h)
             level = nxt
-        for (sig, rem), bucket in level.items():
-            out.extend(bucket)
+        for classes in level.values():
+            out.extend(classes.values())
     return tuple(out)
 
 

@@ -1,8 +1,10 @@
-"""Simple undirected graphs with exact distances, blocks, and isomorphism tests.
+"""Simple undirected graphs with exact distances, blocks, and canonical forms.
 
 Vertices are always labeled 0..n-1. Adjacency is stored as one Python int
 bitmask per vertex, which keeps complement, BFS, and block routines exact and
-cheap at the scales this package targets (n up to a few hundred).
+cheap at the scales this package targets (n up to a few hundred). Isomorphism
+is decided by one mechanism, canonical_form: two graphs are isomorphic iff
+their forms are equal.
 """
 
 from __future__ import annotations
@@ -24,10 +26,16 @@ __all__ = [
     "is_connected",
     "block_decomposition",
     "is_clique_tree",
+    "canonical_form",
     "are_isomorphic",
     "parse_edge_list",
     "format_edge_list",
 ]
+
+
+# Largest order an edge-list header may declare: dense n x n matrices of this
+# order take 200 MB each, and the largest benchmark graph has n = 300.
+MAX_ORDER = 5000
 
 
 class GraphError(ValueError):
@@ -263,89 +271,94 @@ def is_clique_tree(g):
     return True
 
 
-def _refined_colors(g):
-    """Stable vertex coloring from iterated neighbor-color refinement.
+def _refine(nbrs, colors):
+    """Split colour classes by their neighbours' colours until none splits.
 
-    Color labels are assigned by sorting the refinement keys, so two
-    isomorphic graphs always receive identical color multisets. Cached per
-    graph instance.
+    Each round keys a vertex by (colour, sorted neighbour colours) and
+    relabels the keys in sorted order, so the result depends only on the
+    structure and the input colours, never on vertex labels.
     """
-    cached = g.__dict__.get("_colors")
-    if cached is not None:
-        return cached
-    colors = list(g.degrees)
     classes = len(set(colors))
-    for _ in range(g.n):
+    while True:
         keys = [
-            (colors[v], tuple(sorted(colors[u] for u in _bits(g.rows[v]))))
-            for v in range(g.n)
+            (colors[v], tuple(sorted([colors[u] for u in nb]))) for v, nb in enumerate(nbrs)
         ]
         relabel = {k: i for i, k in enumerate(sorted(set(keys)))}
         colors = [relabel[k] for k in keys]
-        new_classes = len(set(colors))
-        if new_classes == classes:
-            break
-        classes = new_classes
-    result = tuple(colors)
-    g.__dict__["_colors"] = result
+        if len(relabel) == classes:
+            return colors
+        classes = len(relabel)
+
+
+def _twin_reps(rows, vertices):
+    """The vertices that are not a twin of an earlier one in the sequence.
+
+    Twins u, v have rows[u] & ~bit(v) == rows[v] & ~bit(u): equal open
+    neighbourhoods, or equal closed ones. Swapping twins is an automorphism,
+    and twinship is an equivalence relation.
+    """
+    reps = []
+    open_seen = set()
+    closed_seen = set()
+    for v in vertices:
+        row = rows[v]
+        closed = row | 1 << v
+        if row not in open_seen and closed not in closed_seen:
+            reps.append(v)
+        open_seen.add(row)
+        closed_seen.add(closed)
+    return reps
+
+
+def canonical_form(g):
+    """Isomorphism-class key: equal for two graphs iff they are isomorphic.
+
+    The pair (signature, rows). signature = (n, m, sorted refined colours)
+    is the colour-refinement invariant. rows is the least relabelled
+    adjacency over the leaves of an individualisation-refinement search
+    (McKay & Piperno, J. Symb. Comput. 2014). At each node it takes the
+    first smallest cell holding two non-twin vertices, individualises one
+    vertex per twin class in it, refines, and recurses. A node whose open
+    cells are each a single twin class has only automorphic leaves, so it is
+    one leaf: its vertices in colour order. Cached per graph.
+    """
+    cached = g.__dict__.get("_canon")
+    if cached is not None:
+        return cached
+    rows = g.rows
+    nbrs = [tuple(_bits(r)) for r in rows]
+    colors = _refine(nbrs, list(g.degrees))
+    signature = (g.n, g.m, tuple(sorted(colors)))
+    best = None
+    stack = [colors]
+    while stack:
+        colors = stack.pop()
+        cells = [[] for _ in range(max(colors) + 1)]
+        for v, c in enumerate(colors):
+            cells[c].append(v)
+        target = None
+        for cell in cells:
+            if len(cell) > 1 and (target is None or len(cell) < len(target[0])):
+                reps = _twin_reps(rows, cell)
+                if len(reps) > 1:
+                    target = (cell, reps)
+        if target is None:
+            order = [v for cell in cells for v in cell]
+            pos = {v: i for i, v in enumerate(order)}
+            leaf = tuple(sum(1 << pos[u] for u in nbrs[v]) for v in order)
+            if best is None or leaf < best:
+                best = leaf
+            continue
+        for v in reversed(target[1]):
+            stack.append(_refine(nbrs, [2 * c + (u != v) for u, c in enumerate(colors)]))
+    result = (signature, best)
+    g.__dict__["_canon"] = result
     return result
 
 
-def _iso_signature(g):
-    """Cheap isomorphism invariant used to bucket candidates before pairwise tests."""
-    return (g.n, g.m, tuple(sorted(_refined_colors(g))))
-
-
 def are_isomorphic(g, h):
-    """Exact isomorphism test by color refinement plus backtracking.
-
-    Intended for small graphs (n up to about 12); the refinement prefilter
-    rejects almost all non-isomorphic pairs before any search happens.
-    """
-    if g.n != h.n or g.m != h.m:
-        return False
-    if sorted(g.degrees) != sorted(h.degrees):
-        return False
-    cg = _refined_colors(g)
-    ch = _refined_colors(h)
-    if sorted(cg) != sorted(ch):
-        return False
-
-    n = g.n
-    by_color = {}
-    for v in range(n):
-        by_color.setdefault(ch[v], []).append(v)
-    # Most-constrained g-vertices first.
-    order = sorted(range(n), key=lambda v: (len(by_color[cg[v]]), cg[v], v))
-    mapping = [-1] * n
-    used = [False] * n
-    assigned = []
-
-    def extend(i):
-        if i == n:
-            return True
-        v = order[i]
-        for c in by_color[cg[v]]:
-            if used[c]:
-                continue
-            ok = True
-            for u in assigned:
-                if (g.rows[v] >> u) & 1 != (h.rows[c] >> mapping[u]) & 1:
-                    ok = False
-                    break
-            if not ok:
-                continue
-            mapping[v] = c
-            used[c] = True
-            assigned.append(v)
-            if extend(i + 1):
-                return True
-            assigned.pop()
-            used[c] = False
-            mapping[v] = -1
-        return False
-
-    return extend(0)
+    """Exact isomorphism test: equal canonical forms."""
+    return canonical_form(g) == canonical_form(h)
 
 
 def format_edge_list(g):
@@ -371,6 +384,8 @@ def parse_edge_list(text):
         n, m = int(head[0]), int(head[1])
     except ValueError:
         raise GraphError(f"header must be two integers, got {tokens[0]!r}") from None
+    if n > MAX_ORDER:
+        raise GraphError(f"header declares n={n}, above the limit of {MAX_ORDER} vertices")
     if len(tokens) - 1 != m:
         raise GraphError(f"header declares {m} edges but {len(tokens) - 1} lines follow")
     edges = []

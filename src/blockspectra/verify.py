@@ -560,8 +560,8 @@ def run_check(theorem, n=None, s=None, d=None, trials=None, seed=None, jobs=1):
     """Check one claim: validate and default its parameters, enumerate its
     family, compare each instance over `jobs` processes, reduce to a report.
 
-    n sets n_max where a claim takes one; parameters a claim does not take
-    are ignored. Bad input raises GraphError. A run that checks no instance
+    n sets n_max where a claim takes one. Bad input, including a parameter
+    the claim does not take, raises GraphError. A run that checks no instance
     says so in its notes.
     """
     tid = ALIASES.get(theorem, theorem)
@@ -569,12 +569,18 @@ def run_check(theorem, n=None, s=None, d=None, trials=None, seed=None, jobs=1):
         known = ", ".join(sorted(CLAIMS))
         raise GraphError(f"unknown theorem id {theorem!r}; known ids: {known}")
     claim = CLAIMS[tid]
-    given = {"n": n, "n_max": n, "s": s, "d": d, "trials": trials, "seed": seed}
+    given = {"n": n, "s": s, "d": d, "trials": trials, "seed": seed}
+    taken = {key: "n" if key == "n_max" else key for key in claim.params}
+    for name, value in given.items():
+        if value is not None and name not in taken.values():
+            raise GraphError(
+                f"{tid} takes no parameter {name}; it takes {', '.join(taken.values())}"
+            )
     p = {}
     for key, (default, minimum) in claim.params.items():
-        value = default if given[key] is None else given[key]
+        name = taken[key]
+        value = default if given[name] is None else given[name]
         if minimum is not None and value < minimum:
-            name = "n" if key == "n_max" else key
             raise GraphError(f"{tid} needs {name} >= {minimum}, got {name}={value}")
         p[key] = value
     t0 = time.perf_counter()

@@ -15,7 +15,9 @@ import sys
 import pytest
 
 from blockspectra import complete_graph, format_edge_list, path_graph, spectral_radius
+from blockspectra import cli
 from blockspectra.cli import main
+from blockspectra.graphs import MAX_ORDER
 
 
 def run_cli(capsys, argv, stdin_text=None, monkeypatch=None):
@@ -226,6 +228,9 @@ class TestEnumerate:
         ["spectrum", "--tol", "0"],
         ["spectrum", "--tol", "-0.5"],
         ["spectrum", "--tol", "inf"],
+        ["verify", "T2.5", "--s", "3"],
+        ["verify", "L4.1", "--trials", "5"],
+        ["verify", "L2.1", "--d", "4"],
     ],
 )
 def test_bad_parameter_is_a_one_line_error(capsys, monkeypatch, argv):
@@ -237,6 +242,27 @@ def test_bad_parameter_is_a_one_line_error(capsys, monkeypatch, argv):
     assert code == 1
     assert out == ""
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
+@pytest.mark.parametrize("header", ["30000 0", "1000000000000 0"])
+def test_oversized_header_is_a_one_line_error(capsys, monkeypatch, header):
+    code, out, err = run_cli(
+        capsys, ["spectrum"], stdin_text=header + "\n", monkeypatch=monkeypatch
+    )
+    n = header.split()[0]
+    assert (code, out) == (1, "")
+    assert err == f"error: header declares n={n}, above the limit of {MAX_ORDER} vertices\n"
+
+
+def test_out_of_memory_is_a_one_line_error(capsys, monkeypatch):
+    def exhausted(*args, **kwargs):
+        raise MemoryError("Unable to allocate 6.71 GiB")
+
+    monkeypatch.setattr(cli, "spectral_radius", exhausted)
+    code, out, err = run_cli(
+        capsys, ["spectrum"], stdin_text=format_edge_list(path_graph(4)), monkeypatch=monkeypatch
+    )
+    assert (code, out, err) == (1, "", "error: out of memory: Unable to allocate 6.71 GiB\n")
 
 
 class TestUsage:

@@ -17,9 +17,12 @@ from blockspectra import (
     are_isomorphic,
     bfs_distances,
     block_decomposition,
+    canonical_form,
+    clique_star,
     complement,
     complete_graph,
     diameter,
+    enumerate_clique_trees,
     enumerate_connected_graphs,
     enumerate_trees,
     format_edge_list,
@@ -328,3 +331,47 @@ class TestIsomorphism:
                 agree_false += 1
         assert agree_false > 50  # the sample exercised both outcomes
         assert agree_true > 5
+
+
+def relabelled(g, rng):
+    p = list(range(g.n))
+    rng.shuffle(p)
+    return from_edge_list(g.n, [(p[u], p[v]) for u, v in g.edges])
+
+
+class TestCanonicalForm:
+    def test_connected_classes_match_networkx_atlas(self):
+        nx = pytest.importorskip("networkx")
+        forms = {}
+        for a in nx.graph_atlas_g():
+            if a.number_of_nodes() and nx.is_connected(a):
+                g = from_edge_list(a.number_of_nodes(), list(a.edges()))
+                forms.setdefault(g.n, set()).add(canonical_form(g))
+        assert [len(forms[n]) for n in range(1, 8)] == [1, 1, 2, 6, 21, 112, 853]
+        for n in range(1, 8):
+            assert {canonical_form(g) for g in enumerate_connected_graphs(n)} == forms[n]
+
+    def test_relabelling_keeps_the_form(self):
+        rng = random.Random(5)
+        classes = [
+            *enumerate_connected_graphs(7),
+            *enumerate_trees(12),
+            *(g for s in range(1, 10) for g in enumerate_clique_trees(10, s)),
+        ]
+        for g in classes:
+            for _ in range(2):
+                assert canonical_form(relabelled(g, rng)) == canonical_form(g)
+
+    @pytest.mark.parametrize(
+        "g",
+        [
+            complete_graph(12),
+            from_edge_list(12, [(0, v) for v in range(1, 12)]),
+            clique_star((3,) * 5, 3, 3),
+        ],
+        ids=["K12", "K1,11", "clique_star"],
+    )
+    def test_symmetric_extremes_finish(self, g):
+        # a search that branched on every vertex of a symmetric cell would take n! leaves
+        assert canonical_form(relabelled(g, random.Random(0))) == canonical_form(g)
+        assert not are_isomorphic(g, complement(g))
