@@ -276,16 +276,15 @@ def _refine(nbrs, colors):
 
     Each round keys a vertex by (colour, sorted neighbour colours) and
     relabels the keys in sorted order, so the result depends only on the
-    structure and the input colours, never on vertex labels.
+    structure and the input colours, never on vertex labels. A colouring
+    with n classes cannot split, so it ends the loop at once.
     """
     classes = len(set(colors))
     while True:
-        keys = [
-            (colors[v], tuple(sorted([colors[u] for u in nb]))) for v, nb in enumerate(nbrs)
-        ]
+        keys = [(c, tuple(sorted([colors[u] for u in nb]))) for c, nb in zip(colors, nbrs)]
         relabel = {k: i for i, k in enumerate(sorted(set(keys)))}
         colors = [relabel[k] for k in keys]
-        if len(relabel) == classes:
+        if len(relabel) == classes or len(relabel) == len(colors):
             return colors
         classes = len(relabel)
 
@@ -327,8 +326,9 @@ def canonical_form(g):
         return cached
     rows = g.rows
     nbrs = [tuple(_bits(r)) for r in rows]
-    colors = _refine(nbrs, list(g.degrees))
-    signature = (g.n, g.m, tuple(sorted(colors)))
+    degrees = [len(nb) for nb in nbrs]
+    colors = _refine(nbrs, degrees)
+    signature = (g.n, sum(degrees) // 2, tuple(sorted(colors)))
     best = None
     stack = [colors]
     while stack:
@@ -344,8 +344,10 @@ def canonical_form(g):
                     target = (cell, reps)
         if target is None:
             order = [v for cell in cells for v in cell]
-            pos = {v: i for i, v in enumerate(order)}
-            leaf = tuple(sum(1 << pos[u] for u in nbrs[v]) for v in order)
+            bit = [0] * g.n
+            for i, v in enumerate(order):
+                bit[v] = 1 << i
+            leaf = tuple(sum([bit[u] for u in nbrs[v]]) for v in order)
             if best is None or leaf < best:
                 best = leaf
             continue
