@@ -292,20 +292,13 @@ def _refine(nbrs, colors):
 def _twin_reps(rows, vertices):
     """The vertices that are not a twin of an earlier one in the sequence.
 
-    Twins u, v have rows[u] & ~bit(v) == rows[v] & ~bit(u): equal open
-    neighbourhoods, or equal closed ones. Swapping twins is an automorphism,
-    and twinship is an equivalence relation.
+    Twins u, v have equal open or equal closed neighbourhoods. Swapping
+    them is an automorphism, and twinship is an equivalence relation.
     """
     reps = []
-    open_seen = set()
-    closed_seen = set()
     for v in vertices:
-        row = rows[v]
-        closed = row | 1 << v
-        if row not in open_seen and closed not in closed_seen:
+        if not any(rows[u] & ~(1 << v) == rows[v] & ~(1 << u) for u in reps):
             reps.append(v)
-        open_seen.add(row)
-        closed_seen.add(closed)
     return reps
 
 
@@ -316,10 +309,10 @@ def canonical_form(g):
     is the colour-refinement invariant. rows is the least relabelled
     adjacency over the leaves of an individualisation-refinement search
     (McKay & Piperno, J. Symb. Comput. 2014). At each node it takes the
-    first smallest cell holding two non-twin vertices, individualises one
-    vertex per twin class in it, refines, and recurses. A node whose open
-    cells are each a single twin class has only automorphic leaves, so it is
-    one leaf: its vertices in colour order. Cached per graph.
+    first colour cell with the fewest twin classes, two at least,
+    individualises one vertex per twin class in it, refines, and recurses. A
+    node whose cells are each a single twin class has only automorphic
+    leaves, so it is one leaf: its vertices in colour order. Cached per graph.
     """
     cached = g.__dict__.get("_canon")
     if cached is not None:
@@ -336,13 +329,8 @@ def canonical_form(g):
         cells = [[] for _ in range(max(colors) + 1)]
         for v, c in enumerate(colors):
             cells[c].append(v)
-        target = None
-        for cell in cells:
-            if len(cell) > 1 and (target is None or len(cell) < len(target[0])):
-                reps = _twin_reps(rows, cell)
-                if len(reps) > 1:
-                    target = (cell, reps)
-        if target is None:
+        branches = [r for r in (_twin_reps(rows, cell) for cell in cells) if len(r) > 1]
+        if not branches:
             order = [v for cell in cells for v in cell]
             bit = [0] * g.n
             for i, v in enumerate(order):
@@ -351,7 +339,7 @@ def canonical_form(g):
             if best is None or leaf < best:
                 best = leaf
             continue
-        for v in reversed(target[1]):
+        for v in reversed(min(branches, key=len)):
             stack.append(_refine(nbrs, [2 * c + (u != v) for u, c in enumerate(colors)]))
     result = (signature, best)
     g.__dict__["_canon"] = result
