@@ -305,9 +305,10 @@ def _twin_reps(rows, vertices):
 def canonical_form(g):
     """Isomorphism-class key: equal for two graphs iff they are isomorphic.
 
-    The pair (signature, rows). signature = (n, m, sorted refined colours)
-    is the colour-refinement invariant. rows is the least relabelled
-    adjacency over the leaves of an individualisation-refinement search
+    The pair (signature, matrix). signature = (n, m, sorted refined colours)
+    is the colour-refinement invariant. matrix is the least relabelled
+    adjacency matrix, its rows read as one n*n-bit integer, over the leaves
+    of an individualisation-refinement search
     (McKay & Piperno, J. Symb. Comput. 2014). At each node it takes the
     first colour cell with the fewest twin classes, two at least,
     individualises one vertex per twin class in it, refines, and recurses. A
@@ -322,7 +323,7 @@ def canonical_form(g):
     degrees = [len(nb) for nb in nbrs]
     colors = _refine(nbrs, degrees)
     signature = (g.n, sum(degrees) // 2, tuple(sorted(colors)))
-    best = None
+    best = math.inf
     stack = [colors]
     while stack:
         colors = stack.pop()
@@ -335,9 +336,10 @@ def canonical_form(g):
             bit = [0] * g.n
             for i, v in enumerate(order):
                 bit[v] = 1 << i
-            leaf = tuple(sum([bit[u] for u in nbrs[v]]) for v in order)
-            if best is None or leaf < best:
-                best = leaf
+            leaf = 0
+            for v in order:
+                leaf = leaf << g.n | sum([bit[u] for u in nbrs[v]])
+            best = min(best, leaf)
             continue
         for v in reversed(min(branches, key=len)):
             stack.append(_refine(nbrs, [2 * c + (u != v) for u, c in enumerate(colors)]))
