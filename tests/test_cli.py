@@ -14,8 +14,7 @@ import sys
 
 import pytest
 
-from blockspectra import complete_graph, format_edge_list, path_graph, spectral_radius
-from blockspectra import cli
+from blockspectra import cli, complete_graph, format_edge_list, path_graph, spectral_radius
 from blockspectra.cli import main
 from blockspectra.graphs import MAX_ORDER
 

@@ -372,6 +372,7 @@ class TestCanonicalForm:
         ids=["K12", "K1,11", "clique_star"],
     )
     def test_symmetric_extremes_finish(self, g):
-        # a search that branched on every vertex of a symmetric cell would take n! leaves
+        # a search that branched on every vertex of a symmetric cell would take
+        # n! leaves, here and on the complement (K12's is edgeless)
         assert canonical_form(relabelled(g, random.Random(0))) == canonical_form(g)
         assert not are_isomorphic(g, complement(g))
