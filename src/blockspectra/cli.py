@@ -9,7 +9,7 @@ error, 2 theorem violation found.
 from __future__ import annotations
 
 import argparse
-import os
+import re
 import sys
 
 from .families import (
@@ -39,6 +39,14 @@ class _UsageError(Exception):
 class _Parser(argparse.ArgumentParser):
     # argparse exits with 2 on bad usage; 2 is reserved here for theorem
     # violations, so usage errors are rerouted to exit 1.
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # argparse takes "-1e-10" and "-inf" for option names unless they match
+        # this pattern, so `--tol -1e-10` would miss its value
+        self._negative_number_matcher = re.compile(
+            r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$|^-(inf|nan)$", re.IGNORECASE
+        )
+
     def error(self, message):
         raise _UsageError(f"{self.prog}: error: {message}")
 
@@ -72,6 +80,10 @@ def _cmd_spectrum(args):
     g = _read_graph(args.infile)
     pair = spectral_radius(g, _MATRIX_KINDS[args.matrix], tol=args.tol)
     lines = [_fmt(pair.value), " ".join(_fmt(v) for v in pair.vector)]
+    if args.verbose:
+        lines.append(
+            f"method {pair.method} iterations {pair.iterations} residual {_fmt(pair.residual)}"
+        )
     sys.stdout.write("\n".join(lines) + "\n")
     return 0
 
@@ -133,6 +145,11 @@ def _build_parser():
         help="matrix to analyze (c* = of the complement)",
     )
     p_spec.add_argument("--tol", type=float, default=DEFAULT_TOL)
+    p_spec.add_argument(
+        "--verbose",
+        action="store_true",
+        help="add a line with the solver method, iteration count and residual",
+    )
     p_spec.set_defaults(func=_cmd_spectrum)
 
     p_ver = sub.add_parser("verify", help="run one theorem check")
@@ -147,8 +164,9 @@ def _build_parser():
     p_ver.add_argument(
         "--jobs",
         type=int,
-        default=os.cpu_count() or 1,
-        help="worker processes; output bytes do not depend on this",
+        default=1,
+        help="worker processes, each checking a contiguous share of the family; "
+        "output bytes do not depend on this",
     )
     p_ver.set_defaults(func=_cmd_verify)
 

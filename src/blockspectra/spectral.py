@@ -2,8 +2,10 @@
 
 Builds adjacency and distance matrices (exact integers) and computes dominant
 eigenpairs in float64 by shifted power iteration with a cyclic Jacobi
-fallback. The complement distance matrix is the object behind the identity
-D(G^c) = J - I + A(G), valid whenever diameter(G) > 3.
+fallback. spectral_radii solves many graphs at once: same-order matrices are
+stacked and iterated together, with every row getting the bits the
+one-matrix solver gives it. The complement distance matrix is the object
+behind the identity D(G^c) = J - I + A(G), valid whenever diameter(G) > 3.
 """
 
 from __future__ import annotations
@@ -26,9 +28,17 @@ __all__ = [
     "power_iteration",
     "jacobi_eigh",
     "spectral_radius",
+    "spectral_radii",
 ]
 
 DEFAULT_TOL = 1e-10
+
+# spectral_radii stacks at most STACK_ROWS matrices of one order, and fewer
+# for large orders, so that no stack holds more than STACK_ENTRIES float64
+# entries. 256 rows amortise numpy's per-call overhead (16 rows ran 5x
+# slower); a stack of 256 matrices of order 12 takes about 300 KB.
+STACK_ROWS = 256
+STACK_ENTRIES = 1 << 18
 
 SPECTRAL_KINDS = ("adjacency", "distance", "complement_adjacency", "complement_distance")
 
@@ -50,11 +60,7 @@ class EigenPair:
 
 def adjacency_matrix(g):
     """0/1 symmetric adjacency matrix with zero diagonal, exact integers."""
-    a = np.zeros((g.n, g.n), dtype=np.int64)
-    for u, v in g.edges:
-        a[u, v] = 1
-        a[v, u] = 1
-    return a
+    return _bit_stack([g], g.n)[0].astype(np.int64)
 
 
 def distance_matrix(g):
@@ -83,6 +89,11 @@ def _check_symmetric(m):
     if not np.array_equal(a, a.T):
         raise SpectralError("matrix must be exactly symmetric")
     return a
+
+
+def _check_tol(tol):
+    if not 0 < tol < math.inf:
+        raise SpectralError(f"tolerance must be positive and finite, got {tol}")
 
 
 def _fix_sign(x):
@@ -116,7 +127,9 @@ def power_iteration(m, tol=DEFAULT_TOL, max_iter=None):
         return EigenPair(0.0, x, 0.0, 0, "power")
     c = float(np.abs(a).sum(axis=1).max())
     x = np.ones(n) / math.sqrt(n)
-    rng = np.random.default_rng(12345)
+    # made at the first restart only: most solves never restart, and numpy
+    # imports numpy.random, ~5 MB of resident memory, on first use
+    rng = None
     lam_prev = None
     for k in range(max_iter):
         y = a @ x
@@ -129,6 +142,8 @@ def power_iteration(m, tol=DEFAULT_TOL, max_iter=None):
         nz = float(np.linalg.norm(z))
         if nz < 1e-12 * (c + 1.0):
             # x landed in the kernel of m + cI (the minimum eigenspace): restart
+            if rng is None:
+                rng = np.random.default_rng(12345)
             x = rng.standard_normal(n)
             x /= np.linalg.norm(x)
             lam_prev = None
@@ -202,8 +217,7 @@ def dominant_eigenpair(m, tol=DEFAULT_TOL):
     approximation. For nonnegative irreducible input the vector is the Perron
     vector, normalized with positive sign. tol must be positive and finite.
     """
-    if not 0 < tol < math.inf:
-        raise SpectralError(f"tolerance must be positive and finite, got {tol}")
+    _check_tol(tol)
     a = _check_symmetric(m)
     pair = power_iteration(a, tol=tol)
     if pair is not None:
@@ -224,25 +238,143 @@ def dominant_eigenpair(m, tol=DEFAULT_TOL):
     return EigenPair(lam, x, residual, 100 * n, "jacobi")
 
 
-def spectral_radius(g, kind, tol=DEFAULT_TOL):
-    """Dominant eigenpair of one of the four graph matrices.
+def _bit_stack(graphs, n):
+    """Float64 stack of the 0/1 adjacency matrices of graphs of order n,
+    unpacked from their bitset rows."""
+    width = (n + 7) // 8
+    packed = b"".join(r.to_bytes(width, "little") for g in graphs for r in g.rows)
+    bits = np.unpackbits(np.frombuffer(packed, dtype=np.uint8), bitorder="little")
+    return bits.reshape(len(graphs), n, 8 * width)[:, :, :n].astype(np.float64, order="C")
+
+
+def _matrix_stack(graphs, kind):
+    """Float64 stack of one kind of matrix of graphs of one order.
+
+    complement_distance uses the L4.1 identity D(G^c) = J - I + A(G) for
+    every G with two vertices more than three steps apart (no walk of length
+    at most 3 joins them), which includes every disconnected G; it runs BFS
+    on the complement only for diameter(G) <= 3.
+    """
+    n = graphs[0].n
+    if kind == "distance":
+        return np.stack([distance_matrix(g) for g in graphs]).astype(np.float64)
+    a = _bit_stack(graphs, n)
+    if kind == "adjacency":
+        return a
+    if kind == "complement_adjacency":
+        return 1.0 - np.eye(n) - a
+    closed = a + np.eye(n)
+    within_three = ((closed @ closed @ closed) > 0).all(axis=(1, 2))
+    mats = 1.0 - np.eye(n) + a
+    for i in np.flatnonzero(within_three):
+        gc = complement(graphs[i])
+        if not is_connected(gc):
+            raise GraphError("complement of the input graph is disconnected")
+        mats[i] = distance_matrix(gc)
+    return mats
+
+
+def _dots(u, v):
+    """Row-wise dot products of two (N, n, 1) stacks, one BLAS dot per row."""
+    return (u.transpose(0, 2, 1) @ v)[:, 0, 0]
+
+
+def _same_bits(p, q):
+    """True iff two EigenPairs agree in every bit."""
+    same = (p.value, p.residual, p.iterations, p.method) == (
+        q.value, q.residual, q.iterations, q.method
+    )
+    return same and np.array_equal(p.vector, q.vector)
+
+
+def _power_stack(a, tol):
+    """power_iteration on every matrix of an (N, n, n) stack at once.
+
+    Each row follows power_iteration's arithmetic exactly. The iterates are
+    (N, n, 1) columns, so a @ x, x^T y and z^T z are stacked matmuls that make
+    the same per-slice BLAS gemv and dot calls as the one-matrix a @ x, x @ y
+    and norm, and each row gets the bits it gets alone. The residual is
+    computed only for rows whose Rayleigh quotient moved by less than tol.
+    Returns one EigenPair per row, or None for a row that leaves the batch:
+    a zero matrix, an iterate that would restart, or a row at the 100*n cap.
+    """
+    count, n, _ = a.shape
+    out = [None] * count
+    c = np.abs(a).sum(axis=2).max(axis=1)
+    rows = np.flatnonzero(c > 0)
+    a, c = a[rows], c[rows]
+    floor = 1e-12 * (c + 1.0)
+    x = np.full((len(rows), n, 1), 1 / math.sqrt(n))
+    lam_prev = None
+    for k in range(100 * n):
+        if not len(rows):
+            break
+        y = a @ x
+        lam = _dots(x, y)
+        keep = np.ones(len(rows), dtype=bool)
+        if lam_prev is not None:
+            near = np.flatnonzero(np.abs(lam - lam_prev) < tol)
+            r = y[near] - lam[near, None, None] * x[near]
+            residual = np.sqrt(_dots(r, r))
+            for j, res in zip(near, residual):
+                if res < tol:
+                    vector = _fix_sign(x[j, :, 0].copy())
+                    out[rows[j]] = EigenPair(float(lam[j]), vector, float(res), k, "power")
+                    keep[j] = False
+        z = y + c[:, None, None] * x
+        nz = np.sqrt(_dots(z, z))
+        keep &= ~(nz < floor)
+        if not keep.all():
+            rows, a, c, floor = rows[keep], a[keep], c[keep], floor[keep]
+            z, nz, lam = z[keep], nz[keep], lam[keep]
+        x = z / nz[:, None, None]
+        lam_prev = lam
+    return out
+
+
+def spectral_radii(graphs, kind, tol=DEFAULT_TOL):
+    """Dominant eigenpair of one of the four graph matrices of each graph,
+    in input order.
 
     kind is one of adjacency, distance, complement_adjacency,
     complement_distance. Distance kinds require the relevant graph (g or its
-    complement) to be connected.
+    complement) to be connected. Graphs of one order are solved together in
+    stacks by the batched power iteration, and every pair has the bits
+    dominant_eigenpair gives that graph's matrix alone: a stack of one
+    matrix, and every row that leaves a batch (zero matrix, restart, or
+    iteration cap), is solved by dominant_eigenpair itself, and the first
+    graph of each stack is solved alone too, as a check on the stack.
     """
-    if kind == "adjacency":
-        mat = adjacency_matrix(g)
-    elif kind == "distance":
-        mat = distance_matrix(g)
-    elif kind == "complement_adjacency":
-        mat = adjacency_matrix(complement(g))
-    elif kind == "complement_distance":
-        gc = complement(g)
-        if not is_connected(gc):
-            raise GraphError("complement of the input graph is disconnected")
-        mat = distance_matrix(gc)
-    else:
+    if kind not in SPECTRAL_KINDS:
         raise GraphError(f"unknown spectral kind {kind!r}; expected one of {SPECTRAL_KINDS}")
-    return dominant_eigenpair(mat, tol=tol)
+    _check_tol(tol)
+    graphs = list(graphs)
+    by_order = {}
+    for i, g in enumerate(graphs):
+        by_order.setdefault(g.n, []).append(i)
+    pairs = [None] * len(graphs)
+    for n, members in by_order.items():
+        size = max(1, min(STACK_ROWS, STACK_ENTRIES // (n * n)))
+        for start in range(0, len(members), size):
+            chunk = members[start : start + size]
+            mats = _matrix_stack([graphs[i] for i in chunk], kind)
+            solved = [None] * len(chunk)
+            if len(chunk) > 1:
+                solved = _power_stack(mats, tol)
+                # The stack's first graph is solved alone as well: if its pair
+                # differs in any bit, this numpy does not reduce the stacked
+                # matmuls to the one-matrix BLAS calls, and every row is
+                # solved alone instead.
+                alone = spectral_radius(graphs[chunk[0]], kind, tol=tol)
+                if solved[0] is not None and not _same_bits(solved[0], alone):
+                    solved = [None] * len(chunk)
+                solved[0] = alone
+            for i, mat, pair in zip(chunk, mats, solved):
+                pairs[i] = pair if pair is not None else dominant_eigenpair(mat, tol=tol)
+    return pairs
 
+
+def spectral_radius(g, kind, tol=DEFAULT_TOL):
+    """Dominant eigenpair of one of the four graph matrices of g; see
+    spectral_radii."""
+    return spectral_radii([g], kind, tol=tol)[0]

@@ -14,8 +14,10 @@ CLI, reports, and tests.
 
 from __future__ import annotations
 
+import inspect
 import itertools
 import json
+import multiprocessing
 import random
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -36,7 +38,7 @@ from .families import (
     random_clique_tree,
 )
 from .graphs import GraphError, are_isomorphic, block_decomposition, diameter, format_edge_list
-from .spectral import DEFAULT_TOL, adjacency_matrix, complement_distance_matrix, spectral_radius
+from .spectral import DEFAULT_TOL, adjacency_matrix, complement_distance_matrix, spectral_radii
 from .transforms import complete_blocks, end_cliques, move_clique
 
 __all__ = ["EPS", "TheoremReport", "THEOREMS", "ALIASES", "run_check"]
@@ -127,33 +129,10 @@ def _gstr(g):
     return format_edge_list(g).strip().replace("\n", "; ")
 
 
-def _pmap(fn, items, jobs):
-    items = list(items)
-    if jobs is None or jobs <= 1 or len(items) < 2:
-        return [fn(it) for it in items]
-    chunk = max(1, len(items) // (jobs * 8))
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(fn, items, chunksize=chunk))
-
-
 def _has_spread_cut_pair(decomp):
     """True iff two cut vertices share no block (the standing hypothesis)."""
     pairs = itertools.combinations(sorted(decomp.cut_vertices), 2)
     return any(not any(u in b and v in b for b in decomp.blocks) for u, v in pairs)
-
-
-# Spectral radii are cached per process; values are deterministic, so cache
-# hits can never change report bytes.
-_SPECTRUM_CACHE = {}
-
-
-def _lam(g, kind):
-    key = (g.n, g.rows, kind)
-    val = _SPECTRUM_CACHE.get(key)
-    if val is None:
-        val = spectral_radius(g, kind, tol=DEFAULT_TOL).value
-        _SPECTRUM_CACHE[key] = val
-    return val
 
 
 @cache
@@ -174,7 +153,9 @@ def _comparators(shape, sizes):
 
 
 # Per-instance steps take (instance, params) and return None for an instance
-# outside the hypothesis, else the record their claim's reduction reads.
+# outside the hypothesis, else the record their claim's reduction reads. A
+# step that compares radii is a generator: it yields (kind, graphs), is sent
+# back one EigenPair per graph, and returns its record (see _run_rounds).
 
 
 def _compared(g, side, lhs, rhs, tie_with):
@@ -192,32 +173,59 @@ def _compared(g, side, lhs, rhs, tie_with):
 def _versus(g, kind, *sides):
     """Compare g's radius with each (side, comparator graphs) pair: a lower
     side with the least comparator radius, an upper side with the greatest."""
-    lam = _lam(g, kind)
+    pairs = yield kind, (g, *(h for _, others in sides for h in others))
+    radii = (pair.value for pair in pairs)
+    lam = next(radii)
     comparisons = []
     for side, others in sides:
         pick = min if side == "lower" else max
-        comparisons.append(_compared(g, side, lam, pick(_lam(h, kind) for h in others), others))
+        comparisons.append(_compared(g, side, lam, pick(next(radii) for _ in others), others))
     return {"graph": _gstr(g), "comparisons": comparisons}
 
 
 def _tree_chain(g, p, kind):
     if diameter(g) <= 3:
         return None
-    return _versus(g, kind, ("lower", (path_graph(g.n),)), ("upper", (broom(g.n),)))
+    sides = ("lower", (path_graph(g.n),)), ("upper", (broom(g.n),))
+    return (yield from _versus(g, kind, *sides))
 
 
-def _block_bound(g, p, kind, side):
+# A step keeps its locals while it waits for radii, and a whole family's
+# steps wait at once, so the helpers below hand a step only what it needs
+# from a block decomposition, never the decomposition itself.
+
+
+def _spread_block_sizes(g):
+    """Sorted block sizes of g, or None if no two cut vertices are spread."""
     decomp = block_decomposition(g)
     if not _has_spread_cut_pair(decomp):
         return None
-    sizes = tuple(sorted(len(b) for b in decomp.blocks))
-    return _versus(g, kind, (side, _comparators("path" if side == "lower" else "star", sizes)))
+    return tuple(sorted(len(b) for b in decomp.blocks))
+
+
+def _move_candidates(g):
+    """(end clique K, its cut vertex v, cut vertex w) for every end clique
+    and every w outside K or equal to v; None if no two cut vertices are
+    spread."""
+    decomp = block_decomposition(g)
+    if not _has_spread_cut_pair(decomp):
+        return None
+    cuts = sorted(decomp.cut_vertices)
+    return [(K, v, w) for K, v in end_cliques(g, decomp) for w in cuts if w == v or w not in K]
+
+
+def _block_bound(g, p, kind, side):
+    sizes = _spread_block_sizes(g)
+    if sizes is None:
+        return None
+    others = _comparators("path" if side == "lower" else "star", sizes)
+    return (yield from _versus(g, kind, (side, others)))
 
 
 def _completion(g, p, kind, side):
     if not _has_spread_cut_pair(block_decomposition(g)):
         return None
-    return _versus(g, kind, (side, (complete_blocks(g),)))
+    return (yield from _versus(g, kind, (side, (complete_blocks(g),))))
 
 
 def _clique_move(spec, p, kind, toward_smaller_entry):
@@ -227,27 +235,26 @@ def _clique_move(spec, p, kind, toward_smaller_entry):
     vector x, L4.2 when x(w) >= x(v); either way the radius must not drop.
     """
     g = random_clique_tree(*spec)
-    decomp = block_decomposition(g)
-    if not _has_spread_cut_pair(decomp):
+    candidates = _move_candidates(g)
+    if candidates is None:
         return None
-    pair = spectral_radius(g, kind, tol=DEFAULT_TOL)
+    (pair,) = yield kind, (g,)
     lam0 = pair.value
     x = pair.vector
-    _SPECTRUM_CACHE.setdefault((g.n, g.rows, kind), lam0)
+    # the admissible moves in order; None is the identity move w = v
+    moved = []
+    for K, v, w in candidates:
+        big, small = (v, w) if toward_smaller_entry else (w, v)
+        if x[big] >= x[small] - ENTRY_SLACK:
+            moved.append(None if w == v else move_clique(g, K, v, w))
+    pairs = iter((yield kind, tuple(h for h in moved if h is not None)))
     comparisons = []
-    for block, v in end_cliques(g, decomp):
-        for w in sorted(decomp.cut_vertices):
-            if w in block and w != v:
-                continue
-            big, small = (v, w) if toward_smaller_entry else (w, v)
-            if not x[big] >= x[small] - ENTRY_SLACK:
-                continue
-            if w == v:
-                # identical graph, exact tie by construction
-                comparisons.append(("move", lam0, lam0, 0.0, True))
-                continue
-            h = move_clique(g, block, v, w)
-            comparisons.append(_compared(g, "move", lam0, _lam(h, kind), (h,)))
+    for h in moved:
+        if h is None:
+            # identical graph, exact tie by construction
+            comparisons.append(("move", lam0, lam0, 0.0, True))
+        else:
+            comparisons.append(_compared(g, "move", lam0, next(pairs).value, (h,)))
     return {"graph": _gstr(g), "comparisons": comparisons}
 
 
@@ -276,7 +283,8 @@ def _class_member(g, p, kind):
     dg = diameter(g)
     if dg not in (p["d"], p["d"] + 1):
         return None
-    return (dg, _lam(g, kind), g)
+    (pair,) = yield kind, (g,)
+    return (dg, pair.value, g)
 
 
 # Reductions fold the kept (non-None) records into a report whose checked and
@@ -551,14 +559,66 @@ CLAIMS = {
 THEOREMS = {tid: claim.text for tid, claim in CLAIMS.items()}
 
 
-def _apply(tid, p, item):
+def _run_rounds(tid, p, items):
+    """Run the claim's step on each item, all steps in lockstep rounds.
+
+    Each round gathers the distinct graphs (keyed by kind, order and rows)
+    that the open steps ask for and not yet in this run's table, solves them
+    with one spectral_radii call per kind, and sends every step its pairs. A
+    step that needs no radii is a plain function. Returns the steps' records
+    in item order. Batching never changes a pair's bits, so neither does the
+    grouping of items into runs.
+    """
     # pool workers get the claim id, never a record's callables, which need not pickle
-    return CLAIMS[tid].instance(item, p)
+    step = CLAIMS[tid].instance
+    records = [None] * len(items)
+    table = {}
+    waiting = []  # (item index, step generator, its request)
+
+    def advance(i, gen, reply):
+        try:
+            waiting.append((i, gen, gen.send(reply)))
+        except StopIteration as stop:
+            records[i] = stop.value
+
+    for i, item in enumerate(items):
+        out = step(item, p)
+        if inspect.isgenerator(out):
+            advance(i, out, None)
+        else:
+            records[i] = out
+    while waiting:
+        todo = {}
+        for _, _, (kind, graphs) in waiting:
+            for g in graphs:
+                key = (kind, g.n, g.rows)
+                if key not in table:
+                    todo.setdefault(kind, {})[key] = g
+        for kind, fresh in todo.items():
+            table.update(zip(fresh, spectral_radii(fresh.values(), kind, tol=DEFAULT_TOL)))
+        current, waiting = waiting, []
+        for i, gen, (kind, graphs) in current:
+            advance(i, gen, [table[kind, g.n, g.rows] for g in graphs])
+    return records
+
+
+def _run_family(tid, p, items, jobs):
+    """_run_rounds over `jobs` contiguous chunks of the items, in item order."""
+    items = list(items)
+    if jobs is None or jobs <= 1 or len(items) < 2:
+        return _run_rounds(tid, p, items)
+    size = -(-len(items) // jobs)
+    chunks = [items[i : i + size] for i in range(0, len(items), size)]
+    spawn = multiprocessing.get_context("spawn")
+    with ProcessPoolExecutor(max_workers=len(chunks), mp_context=spawn) as pool:
+        parts = pool.map(partial(_run_rounds, tid, p), chunks)
+        return [record for part in parts for record in part]
 
 
 def run_check(theorem, n=None, s=None, d=None, trials=None, seed=None, jobs=1):
     """Check one claim: validate and default its parameters, enumerate its
-    family, compare each instance over `jobs` processes, reduce to a report.
+    family, run each instance's step (the family split over `jobs`
+    processes), reduce to a report.
 
     n sets n_max where a claim takes one. Bad input, including a parameter
     the claim does not take, raises GraphError. A run that checks no instance
@@ -584,7 +644,7 @@ def run_check(theorem, n=None, s=None, d=None, trials=None, seed=None, jobs=1):
             raise GraphError(f"{tid} needs {name} >= {minimum}, got {name}={value}")
         p[key] = value
     t0 = time.perf_counter()
-    results = _pmap(partial(_apply, tid, p), claim.family(p), jobs)
+    results = _run_family(tid, p, claim.family(p), jobs)
     kept = [res for res in results if res is not None]
     report = TheoremReport(
         theorem=tid, params=p, checked=len(kept), excluded=len(results) - len(kept)

@@ -88,6 +88,31 @@ class TestSpectrum:
         assert out.splitlines()[0] == "2.73205080757"
         assert float(out.splitlines()[0]) == pytest.approx(1 + math.sqrt(3), abs=1e-10)
 
+    def test_output_is_two_lines_without_verbose(self, capsys, monkeypatch):
+        code, out, _ = run_cli(
+            capsys, ["spectrum"], stdin_text=format_edge_list(path_graph(5)), monkeypatch=monkeypatch
+        )
+        assert code == 0
+        pair = spectral_radius(path_graph(5), "adjacency")
+        vector = " ".join(format(v, "#.12g") for v in pair.vector)
+        assert out == f"{pair.value:#.12g}\n{vector}\n"
+
+    def test_verbose_adds_the_solver_line(self, capsys, monkeypatch):
+        argv = ["spectrum", "--matrix", "cdistance"]
+        text = format_edge_list(path_graph(6))
+        _, plain, _ = run_cli(capsys, argv, stdin_text=text, monkeypatch=monkeypatch)
+        code, out, _ = run_cli(
+            capsys, [*argv, "--verbose"], stdin_text=text, monkeypatch=monkeypatch
+        )
+        assert code == 0
+        lines = out.splitlines()
+        assert len(lines) == 3 and out.startswith(plain)
+        pair = spectral_radius(path_graph(6), "complement_distance")
+        assert lines[2] == (
+            f"method {pair.method} iterations {pair.iterations} "
+            f"residual {pair.residual:#.12g}"
+        )
+
     def test_cdistance_of_small_diameter_exits_1(self, capsys, monkeypatch):
         code, _, err = run_cli(
             capsys,
@@ -230,6 +255,7 @@ class TestEnumerate:
         ["verify", "T2.5", "--s", "3"],
         ["verify", "L4.1", "--trials", "5"],
         ["verify", "L2.1", "--d", "4"],
+        ["spectrum", "--tol", "-1e-10"],
     ],
 )
 def test_bad_parameter_is_a_one_line_error(capsys, monkeypatch, argv):

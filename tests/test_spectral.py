@@ -2,7 +2,8 @@
 
 numpy's eigh appears only as a test oracle. The library's two routes (shifted
 power iteration, cyclic Jacobi) are exercised both through dominant_eigenpair
-and directly.
+and directly, and the batched spectral_radii is held to the bits of the
+one-matrix solver.
 """
 
 import math
@@ -11,20 +12,26 @@ import random
 import numpy as np
 import pytest
 
+from blockspectra import spectral
 from blockspectra import (
     DEFAULT_TOL,
     GraphError,
     SpectralError,
     adjacency_matrix,
+    broom,
+    complement,
     complement_distance_matrix,
     complete_graph,
     distance_matrix,
     dominant_eigenpair,
+    enumerate_clique_trees,
     enumerate_connected_graphs,
     from_edge_list,
     jacobi_eigh,
     path_graph,
     power_iteration,
+    random_clique_tree,
+    spectral_radii,
     spectral_radius,
 )
 
@@ -277,3 +284,105 @@ class TestSpectralRadius:
     def test_disconnected_complement_rejected(self):
         with pytest.raises(GraphError):
             spectral_radius(complete_graph(4), "complement_distance")
+
+
+def same_bits(p, q):
+    """Equal value, vector, residual, iteration count and method, bit for bit."""
+    return (
+        p.value == q.value
+        and np.array_equal(p.vector, q.vector)
+        and p.residual == q.residual
+        and p.iterations == q.iterations
+        and p.method == q.method
+    )
+
+
+KIND_MATRICES = {
+    "adjacency": adjacency_matrix,
+    "distance": distance_matrix,
+    "complement_adjacency": lambda g: adjacency_matrix(complement(g)),
+    "complement_distance": complement_distance_matrix,
+}
+
+
+def random_graph(rng, n):
+    edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.4]
+    return from_edge_list(n, edges)
+
+
+class TestSpectralRadii:
+    """The batched solver gives every graph the bits it gets alone."""
+
+    def test_clique_trees_of_order_9_in_every_defined_kind(self):
+        graphs = [g for s in range(1, 9) for g in enumerate_clique_trees(9, s)]
+        for kind, build in KIND_MATRICES.items():
+            kept, alone = [], []
+            for g in graphs:
+                try:
+                    alone.append(spectral_radius(g, kind))
+                except GraphError:
+                    continue
+                kept.append(g)
+                # one graph is solved by dominant_eigenpair on the public builder's matrix
+                assert same_bits(alone[-1], dominant_eigenpair(build(g))), (kind, g)
+            assert len(kept) >= 474, kind
+            batch = spectral_radii(kept, kind)
+            assert all(same_bits(p, q) for p, q in zip(batch, alone)), kind
+
+    def test_mixed_orders_keep_input_order(self):
+        rng = random.Random(11)
+        graphs = [random_connected(rng, rng.randint(5, 12)) for _ in range(120)]
+        graphs += [random_clique_tree(rng.randint(5, 12), 3, rng.randrange(2**32)) for _ in range(60)]
+        rng.shuffle(graphs)
+        for kind in ("adjacency", "distance", "complement_adjacency"):
+            batch = spectral_radii(graphs, kind)
+            assert len(batch) == len(graphs)
+            assert all(same_bits(p, spectral_radius(g, kind)) for p, g in zip(batch, graphs))
+
+    def test_alone_and_in_a_500_graph_batch(self):
+        rng = random.Random(12)
+        graphs = [random_graph(rng, 10) for _ in range(500)]
+        target = graphs[300]
+        for kind in ("adjacency", "complement_adjacency"):
+            assert same_bits(spectral_radii(graphs, kind)[300], spectral_radius(target, kind))
+
+    def test_zero_matrix_in_a_batch(self):
+        graphs = [complete_graph(6), path_graph(6), complete_graph(6)]
+        zero, other, again = spectral_radii(graphs, "complement_adjacency")
+        assert same_bits(zero, dominant_eigenpair(np.zeros((6, 6))))
+        assert zero.value == 0.0 and zero.residual == 0.0 and zero.iterations == 0
+        assert same_bits(again, zero) and other.value > 0
+
+    def test_straggler_gets_the_one_matrix_result(self):
+        # power iteration reaches its 100*n cap on P_120 and falls back to Jacobi
+        path, tree = spectral_radii([path_graph(120), broom(120)], "adjacency")
+        ref = dominant_eigenpair(adjacency_matrix(path_graph(120)))
+        assert ref.method == "jacobi"
+        assert same_bits(path, ref)
+        assert same_bits(tree, dominant_eigenpair(adjacency_matrix(broom(120))))
+
+    def test_agreement_with_eigh_500_random_graphs(self):
+        rng = random.Random(13)
+        graphs = [random_graph(rng, rng.randint(2, 12)) for _ in range(500)]
+        for g, pair in zip(graphs, spectral_radii(graphs, "adjacency")):
+            ref = float(np.linalg.eigvalsh(adjacency_matrix(g))[-1])
+            assert abs(pair.value - ref) <= 1e-9
+
+    def test_stack_that_loses_bits_is_solved_alone(self, monkeypatch):
+        # a row-wise dot that sums in another order than BLAS changes the last bits
+        monkeypatch.setattr(
+            spectral, "_dots", lambda u, v: np.einsum("ijk,ijk->i", u, v)
+        )
+        graphs = [g for s in range(2, 8) for g in enumerate_clique_trees(8, s)]
+        batch = spectral_radii(graphs, "complement_adjacency")
+        assert all(
+            same_bits(p, dominant_eigenpair(adjacency_matrix(complement(g))))
+            for p, g in zip(batch, graphs)
+        )
+
+    def test_rejects_bad_kind_and_tolerance(self):
+        with pytest.raises(GraphError):
+            spectral_radii([path_graph(4)], "laplacian")
+        with pytest.raises(SpectralError):
+            spectral_radii([path_graph(4), path_graph(4)], "adjacency", tol=float("nan"))
+        assert spectral_radii([], "adjacency") == []
