@@ -310,6 +310,39 @@ class TestEnumerationOrder:
         )
 
 
+class TestConstructorLabels:
+    """Witness strings and the order of clique moves follow the constructors'
+    vertex labels, so their labelled output is pinned here."""
+
+    def test_labelled_output(self):
+        sizes = (2, 3, 4)
+        graphs = [
+            clique_path(t) for k in range(1, 5) for t in itertools.product(sizes, repeat=k)
+        ]
+        graphs += [
+            clique_star(ends, bridge, last)
+            for k in range(1, 4)
+            for ends in itertools.product(sizes, repeat=k)
+            for bridge in sizes
+            for last in sizes
+        ]
+        graphs += [
+            random_clique_tree(n, s, seed)
+            for n in range(2, 13)
+            for s in range(1, n)
+            for seed in range(20)
+        ]
+        # the two specs the benchmark's spectrum workload builds
+        graphs += [
+            parse_family_spec("cliquepath:" + ",".join(["8"] * 40)),
+            parse_family_spec("cliquestar:" + ",".join(["10"] * 28) + ";10;10"),
+        ]
+        assert len(graphs) == 1793
+        assert TestEnumerationOrder.digest(graphs) == (
+            "dfd85ae5c46c6a8a5f883e9250250474a7c2437d75c9196231faca537821ed93"
+        )
+
+
 class TestRandomCliqueTree:
     def test_single_block_forced(self):
         for seed in range(5):
