@@ -2,7 +2,9 @@
 
 A clique tree here is a connected graph whose blocks are all complete
 (standard "block graph"); the clique path and clique star are its extremal
-shapes. Enumerators yield exactly one representative per isomorphism class,
+shapes. Every clique tree, constructed, random or enumerated, is grown by
+gluing one clique at a time at a single vertex (_glue_clique).
+Enumerators yield exactly one representative per isomorphism class,
 the first candidate seen with each canonical form, in a fixed order.
 """
 
@@ -10,14 +12,11 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .graphs import Graph, GraphError, _graph_from_pairs, _twin_reps, canonical_form
 
 __all__ = [
-    "CliqueTreeSpec",
-    "realize",
     "clique_path",
     "clique_star",
     "path_graph",
@@ -31,50 +30,18 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class CliqueTreeSpec:
-    """Gluing recipe for a clique tree.
-
-    sizes lists the s clique orders (each >= 2). attachments holds, for each
-    clique i >= 2 in order, the pair (j, v): clique i is glued to vertex v of
-    the already-realized clique j, making v a cut vertex. Realized vertex
-    labels run left to right, the shared vertex first within each new clique.
-    """
-
-    s: int
-    sizes: tuple
-    attachments: tuple
-
-
-def realize(spec):
-    """Build the graph a CliqueTreeSpec describes, validating every attachment."""
-    if spec.s != len(spec.sizes):
-        raise GraphError(f"spec declares s={spec.s} but lists {len(spec.sizes)} sizes")
-    if len(spec.attachments) != spec.s - 1:
-        raise GraphError(
-            f"spec needs {spec.s - 1} attachments for s={spec.s}, got {len(spec.attachments)}"
-        )
-    cliques = []
-    pairs = []
-    total = 0
-    for i, size in enumerate(spec.sizes):
-        size = int(size)
-        if size < 2:
-            raise GraphError(f"clique size must be >= 2, got {size}")
-        if i == 0:
-            verts = tuple(range(size))
-            total = size
-        else:
-            j, v = spec.attachments[i - 1]
-            if not 0 <= j < i:
-                raise GraphError(f"clique {i} attaches to clique {j}, not yet realized")
-            if v not in cliques[j]:
-                raise GraphError(f"attachment vertex {v} is not in clique {j}")
-            verts = (v,) + tuple(range(total, total + size - 1))
-            total += size - 1
-        cliques.append(verts)
-        pairs.extend(itertools.combinations(verts, 2))
-    return _graph_from_pairs(total, pairs)
+def _glue_clique(g, v, size):
+    """g with a new clique of the given size sharing only vertex v with g;
+    its other vertices are numbered g.n onward."""
+    if size < 2:
+        raise GraphError(f"clique size must be >= 2, got {size}")
+    n2 = g.n + size - 1
+    rows = list(g.rows) + [0] * (size - 1)
+    verts = [v] + list(range(g.n, n2))
+    for a, b in itertools.combinations(verts, 2):
+        rows[a] |= 1 << b
+        rows[b] |= 1 << a
+    return Graph(n2, rows)
 
 
 def clique_path(sizes):
@@ -82,17 +49,10 @@ def clique_path(sizes):
     sizes = tuple(int(x) for x in sizes)
     if not sizes:
         raise GraphError("clique path needs at least one clique")
+    g = complete_graph(1)
     for size in sizes:
-        if size < 2:
-            raise GraphError(f"clique size must be >= 2, got {size}")
-    attachments = []
-    last = sizes[0] - 1
-    total = sizes[0]
-    for size in sizes[1:]:
-        attachments.append((len(attachments), last))
-        last = total + size - 2
-        total += size - 1
-    return realize(CliqueTreeSpec(len(sizes), sizes, tuple(attachments)))
+        g = _glue_clique(g, g.n - 1, size)
+    return g
 
 
 def clique_star(end_sizes, bridge_size, last_size):
@@ -101,11 +61,10 @@ def clique_star(end_sizes, bridge_size, last_size):
     end_sizes = tuple(int(x) for x in end_sizes)
     if not end_sizes:
         raise GraphError("clique star needs at least one end clique at w")
-    sizes = (int(bridge_size),) + end_sizes + (int(last_size),)
-    if sizes[0] < 2:
-        raise GraphError(f"clique size must be >= 2, got {sizes[0]}")
-    attachments = tuple((0, 0) for _ in end_sizes) + ((0, 1),)
-    return realize(CliqueTreeSpec(len(sizes), sizes, attachments))
+    g = _glue_clique(complete_graph(1), 0, int(bridge_size))
+    for size in end_sizes:
+        g = _glue_clique(g, 0, size)
+    return _glue_clique(g, 1, int(last_size))
 
 
 def path_graph(n):
@@ -206,16 +165,6 @@ def _size_multisets(total, s, minimum=2):
             yield (first,) + rest
 
 
-def _glue_clique(g, v, size):
-    n2 = g.n + size - 1
-    rows = list(g.rows) + [0] * (size - 1)
-    verts = [v] + list(range(g.n, n2))
-    for a, b in itertools.combinations(verts, 2):
-        rows[a] |= 1 << b
-        rows[b] |= 1 << a
-    return Graph(n2, rows)
-
-
 @lru_cache(maxsize=None)
 def _clique_tree_classes(n, s):
     if n > 12:
@@ -261,11 +210,12 @@ def enumerate_clique_trees(n, s):
 
 
 def random_clique_tree(n, s, seed):
-    """Random clique tree, uniform over gluing specs (not isomorphism classes).
+    """Random clique tree with n vertices and s blocks, not uniform over
+    isomorphism classes.
 
     Block sizes come from a uniform stars-and-bars composition of the size
-    budget; each later clique attaches at a vertex drawn uniformly from the
-    partial graph. Deterministic for a fixed (n, s, seed).
+    budget; each later clique is glued at a vertex drawn uniformly from the
+    graph built so far. Deterministic for a fixed (n, s, seed).
     """
     n, s = int(n), int(s)
     if s < 1 or n < s + 1:
@@ -282,16 +232,10 @@ def random_clique_tree(n, s, seed):
             sizes.append(2 + (b - prev - 1))
             prev = b
         sizes.append(2 + (extra + s - 2 - prev))
-    # attachments need the realized owner clique of each vertex
-    owner = [0] * sizes[0]
-    total = sizes[0]
-    attachments = []
-    for i in range(1, s):
-        v = rng.randrange(total)
-        attachments.append((owner[v], v))
-        owner.extend([i] * (sizes[i] - 1))
-        total += sizes[i] - 1
-    return realize(CliqueTreeSpec(s, tuple(sizes), tuple(attachments)))
+    g = complete_graph(sizes[0])
+    for size in sizes[1:]:
+        g = _glue_clique(g, rng.randrange(g.n), size)
+    return g
 
 
 def _parse_int(token, what):

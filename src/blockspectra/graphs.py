@@ -258,17 +258,23 @@ def block_decomposition(g):
 
 def is_clique_tree(g):
     """True iff g is connected and every block induces a complete subgraph."""
+    return _clique_tree_blocks(g) is not None
+
+
+def _clique_tree_blocks(g):
+    """The block decomposition of g if g is a clique tree, else None."""
     if not is_connected(g):
-        return False
-    for block in block_decomposition(g).blocks:
+        return None
+    decomp = block_decomposition(g)
+    for block in decomp.blocks:
         bmask = 0
         for v in block:
             bmask |= 1 << v
         for v in block:
             need = bmask ^ (1 << v)
             if g.rows[v] & need != need:
-                return False
-    return True
+                return None
+    return decomp
 
 
 def _refine(nbrs, colors):

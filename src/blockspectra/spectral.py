@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import GraphError, bfs_distances, complement, diameter, is_connected
+from .graphs import GraphError, bfs_distances, complement, is_connected
 
 __all__ = [
     "EigenPair",
@@ -72,14 +72,16 @@ def distance_matrix(g):
 
 
 def complement_distance_matrix(g):
-    """Exact D(G^c), defined only when diameter(g) >= 3 so G^c is connected.
+    """Exact D(G^c), defined whenever G^c is connected, as it is for every g
+    of diameter >= 3 and for some of diameter 2, such as the 5-cycle.
 
     For diameter(g) > 3 this equals J - I + A(g) entrywise; for diameter
     exactly 3 it dominates J - I + A(g) entrywise.
     """
-    if diameter(g) < 3:
-        raise GraphError("complement distance matrix requires diameter(g) >= 3")
-    return distance_matrix(complement(g))
+    gc = complement(g)
+    if not is_connected(gc):
+        raise GraphError("complement of the input graph is disconnected")
+    return distance_matrix(gc)
 
 
 def _check_symmetric(m):
@@ -267,10 +269,7 @@ def _matrix_stack(graphs, kind):
     within_three = ((closed @ closed @ closed) > 0).all(axis=(1, 2))
     mats = 1.0 - np.eye(n) + a
     for i in np.flatnonzero(within_three):
-        gc = complement(graphs[i])
-        if not is_connected(gc):
-            raise GraphError("complement of the input graph is disconnected")
-        mats[i] = distance_matrix(gc)
+        mats[i] = complement_distance_matrix(graphs[i])
     return mats
 
 

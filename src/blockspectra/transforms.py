@@ -8,7 +8,7 @@ reusable.
 
 from __future__ import annotations
 
-from .graphs import Graph, GraphError, block_decomposition, is_clique_tree
+from .graphs import Graph, GraphError, _clique_tree_blocks, block_decomposition
 
 __all__ = ["end_cliques", "move_clique", "complete_blocks"]
 
@@ -35,9 +35,9 @@ def move_clique(g, K, v, w):
     to w instead; internal edges of K - {v} stay. The result is a clique tree
     with the same block-size multiset. w = v returns g unchanged.
     """
-    if not is_clique_tree(g):
+    decomp = _clique_tree_blocks(g)
+    if decomp is None:
         raise GraphError("move_clique requires a clique tree")
-    decomp = block_decomposition(g)
     K = frozenset(K)
     if K not in decomp.blocks:
         raise GraphError(f"{sorted(K)} is not a block of the graph")

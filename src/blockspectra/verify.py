@@ -135,12 +135,20 @@ def _has_spread_cut_pair(decomp):
     return any(not any(u in b and v in b for b in decomp.blocks) for u, v in pairs)
 
 
+def _orderings(sizes):
+    """The distinct orderings of a tuple of sizes, each once."""
+    if not sizes:
+        return [()]
+    firsts = {a: i for i, a in enumerate(sizes)}  # one position per value
+    return [(a, *o) for a, i in firsts.items() for o in _orderings(sizes[:i] + sizes[i + 1 :])]
+
+
 @cache
 def _comparators(shape, sizes):
     """All clique paths ("path") or clique stars ("star") with these sorted block sizes."""
     if shape == "path":
         # distinct orderings of the sizes, up to reversal
-        orders = sorted({min(o, o[::-1]) for o in itertools.permutations(sizes)})
+        orders = sorted({min(o, o[::-1]) for o in _orderings(sizes)})
         return tuple(clique_path(o) for o in orders)
     # distinct (end sizes, bridge, last) splits of the sizes
     splits = set()

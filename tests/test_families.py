@@ -13,7 +13,6 @@ import itertools
 import pytest
 
 from blockspectra import (
-    CliqueTreeSpec,
     GraphError,
     are_isomorphic,
     block_decomposition,
@@ -32,12 +31,7 @@ from blockspectra import (
     parse_family_spec,
     path_graph,
     random_clique_tree,
-    realize,
 )
-
-
-def star_graph(n):
-    return from_edge_list(n, [(0, i) for i in range(1, n)])
 
 
 def prufer_decode(seq, n):
@@ -174,25 +168,12 @@ class TestConstructors:
         with pytest.raises(GraphError):
             broom(3)
 
-    def test_realize_examples(self):
-        k4 = realize(CliqueTreeSpec(1, (4,), ()))
-        assert are_isomorphic(k4, complete_graph(4))
-        p4 = realize(CliqueTreeSpec(3, (2, 2, 2), ((0, 1), (1, 2))))
-        assert are_isomorphic(p4, path_graph(4))
-        claw = realize(CliqueTreeSpec(3, (2, 2, 2), ((0, 0), (0, 0))))
-        assert are_isomorphic(claw, star_graph(4))
-
-    def test_realize_rejections(self):
+    def test_clique_star_rejections(self):
         with pytest.raises(GraphError):
-            realize(CliqueTreeSpec(2, (3,), ()))  # s does not match sizes
-        with pytest.raises(GraphError):
-            realize(CliqueTreeSpec(2, (3, 3), ()))  # missing attachment
-        with pytest.raises(GraphError):
-            realize(CliqueTreeSpec(1, (1,), ()))
-        with pytest.raises(GraphError):
-            realize(CliqueTreeSpec(2, (3, 3), ((1, 0),)))  # forward reference
-        with pytest.raises(GraphError):
-            realize(CliqueTreeSpec(2, (3, 3), ((0, 7),)))  # vertex not in clique
+            clique_star((), 3, 3)  # no end clique at w
+        for ends, bridge, last in [((1, 3), 3, 3), ((3,), 1, 3), ((3,), 3, 1)]:
+            with pytest.raises(GraphError):
+                clique_star(ends, bridge, last)
 
 
 class TestEnumerateTrees:

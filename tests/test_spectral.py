@@ -250,6 +250,19 @@ class TestComplementDistance:
                 else:
                     assert (dc >= target).all()
 
+    def test_c5_both_routes_agree(self):
+        # diameter 2, yet its complement (another 5-cycle) is connected
+        c5 = from_edge_list(5, [(i, (i + 1) % 5) for i in range(5)])
+        dc = complement_distance_matrix(c5)
+        assert sorted(dc.sum(axis=1).tolist()) == [6] * 5
+        batched = spectral_radius(c5, "complement_distance")
+        assert batched.value == pytest.approx(6.0, abs=1e-9)
+        assert same_bits(batched, dominant_eigenpair(dc))
+
+    def test_disconnected_complement_is_named(self):
+        with pytest.raises(GraphError, match="complement .* disconnected"):
+            complement_distance_matrix(path_graph(3))
+
     def test_rejects_small_diameter(self):
         with pytest.raises(GraphError):
             complement_distance_matrix(path_graph(3))

@@ -19,9 +19,8 @@ from blockspectra import (
     move_clique,
     path_graph,
     random_clique_tree,
-    realize,
-    CliqueTreeSpec,
 )
+from blockspectra import graphs, transforms
 from blockspectra.transforms import __all__ as transforms_all
 
 
@@ -95,6 +94,23 @@ class TestMoveClique:
             move_clique(g, {0, 1}, 1, 4)  # w is not a cut vertex
         with pytest.raises(GraphError):
             move_clique(cycle_graph(4), {0, 1}, 0, 2)  # not a clique tree
+        disconnected = from_edge_list(6, [(0, 1), (1, 2), (3, 4), (4, 5)])
+        with pytest.raises(GraphError, match="requires a clique tree"):
+            move_clique(disconnected, {0, 1}, 1, 2)
+
+    def test_decomposes_once(self, monkeypatch):
+        calls = []
+        real = graphs.block_decomposition
+
+        def counted(g):
+            calls.append(g)
+            return real(g)
+
+        for module in (graphs, transforms):
+            monkeypatch.setattr(module, "block_decomposition", counted)
+        g = clique_path((3, 2, 2, 3))
+        move_clique(g, {0, 1, 2}, 2, 4)
+        assert len(calls) == 1
 
 
 class TestCompleteBlocks:
@@ -113,15 +129,15 @@ class TestCompleteBlocks:
             [(0, 1), (1, 2), (2, 3), (3, 0), (0, 4), (4, 5), (5, 6), (6, 0)],
         )
         cb = complete_blocks(g)
-        target = realize(CliqueTreeSpec(2, (4, 4), ((0, 0),)))
+        target = clique_path((4, 4))
         assert are_isomorphic(cb, target)
         from blockspectra import spectral_radius
 
         lhs = spectral_radius(g, "complement_adjacency").value
         rhs = spectral_radius(cb, "complement_adjacency").value
         assert lhs >= rhs - 1e-10
-        # diameter collapses to 2 here, so the complement-distance route
-        # is undefined for the completed graph
+        # diameter collapses to 2 here and the shared vertex is isolated in
+        # the complement, so D of the complement is undefined
         assert diameter(cb) == 2
         with pytest.raises(GraphError):
             complement_distance_matrix(cb)

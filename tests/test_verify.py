@@ -5,13 +5,17 @@ small counterexamples, and the harness must report them as violations rather
 than pass.
 """
 
+import itertools
 import json
+import random
+import time
 
 import pytest
 
 from blockspectra import (
     GraphError,
     are_isomorphic,
+    clique_path,
     parse_edge_list,
     path_graph,
 )
@@ -21,6 +25,7 @@ from blockspectra.verify import (
     EPS,
     THEOREMS,
     TheoremReport,
+    _comparators,
     run_check,
 )
 
@@ -148,6 +153,22 @@ class TestExtremal:
         for tid in ("T3.3", "T5.2"):
             report = run_check(tid, n=6)
             assert report.passed, report.violations
+
+
+class TestComparators:
+    def test_equal_sizes_give_one_path_quickly(self):
+        start = time.perf_counter()
+        (only,) = _comparators("path", (2,) * 11)
+        assert time.perf_counter() - start < 0.5
+        assert only.edges == path_graph(12).edges
+
+    def test_paths_match_every_permutation(self):
+        rng = random.Random(7)
+        for _ in range(40):
+            sizes = tuple(sorted(rng.choice((2, 2, 3, 4, 5)) for _ in range(rng.randint(1, 7))))
+            orders = sorted({min(o, o[::-1]) for o in itertools.permutations(sizes)})
+            expected = [clique_path(o).edges for o in orders]
+            assert [g.edges for g in _comparators("path", sizes)] == expected, sizes
 
 
 class TestIdentity:
