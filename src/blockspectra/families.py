@@ -5,7 +5,11 @@ A clique tree here is a connected graph whose blocks are all complete
 shapes. Every clique tree, constructed, random or enumerated, is grown by
 gluing one clique at a time at a single vertex (_glue_clique).
 Enumerators yield exactly one representative per isomorphism class,
-the first candidate seen with each canonical form, in a fixed order.
+the first candidate seen with each canonical form, in a fixed order. They
+grow each smaller class only at the least vertex, or vertex set, of each
+orbit of its automorphisms (_least_masks); a skipped candidate is isomorphic
+to one grown before it from the same class, so it was never first seen, and
+the output order and representatives are those of the unpruned growth.
 """
 
 from __future__ import annotations
@@ -14,7 +18,7 @@ import itertools
 import random
 from functools import lru_cache
 
-from .graphs import Graph, GraphError, _graph_from_pairs, _twin_reps, canonical_form
+from .graphs import Graph, GraphError, _automorphisms, _bits, _graph_from_pairs, canonical_form
 
 __all__ = [
     "clique_path",
@@ -98,6 +102,30 @@ def _attach_vertex(g, mask):
     return Graph(g.n + 1, rows)
 
 
+def _least_masks(g, masks):
+    """The vertex-set bitmasks, ascending, that are least in their orbit
+    under the automorphisms of g; masks must be ascending and closed under
+    them. A vertex v is the mask 1 << v.
+
+    Growing g at any other mask gives an automorphic image of a candidate
+    grown earlier in the same loop, so it can never be a new class.
+    """
+    perms = _automorphisms(g)
+    seen = set()
+    for mask in masks:
+        if mask in seen:
+            continue
+        yield mask
+        seen.add(mask)
+        orbit = [mask]
+        for m in orbit:
+            for perm in perms:
+                image = sum([1 << perm[v] for v in _bits(m)])
+                if image not in seen:
+                    seen.add(image)
+                    orbit.append(image)
+
+
 def _new_classes(candidates):
     """The candidates whose isomorphism class was not seen before, in order."""
     seen = set()
@@ -116,12 +144,11 @@ def _tree_classes(n):
         raise GraphError(f"tree enumeration capped at n = 12, got {n}")
     if n == 1:
         return (Graph(1, (0,)),)
-    # a leaf at a twin of a lower vertex gives an isomorphic, already seen tree
     return tuple(
         _new_classes(
-            _attach_vertex(t, 1 << v)
+            _attach_vertex(t, mask)
             for t in _tree_classes(n - 1)
-            for v in _twin_reps(t.rows, range(t.n))
+            for mask in _least_masks(t, [1 << v for v in range(t.n)])
         )
     )
 
@@ -144,7 +171,7 @@ def _connected_classes(n):
         _new_classes(
             _attach_vertex(g, mask)
             for g in _connected_classes(n - 1)
-            for mask in range(1, 1 << g.n)
+            for mask in _least_masks(g, range(1, 1 << g.n))
         )
     )
 
@@ -183,8 +210,7 @@ def _clique_tree_classes(n, s):
             nxt = {}
             for (_, rem), classes in level.items():
                 for g in classes.values():
-                    # gluing at a twin of a lower vertex repeats a class
-                    reps = _twin_reps(g.rows, range(g.n))
+                    reps = [m.bit_length() - 1 for m in _least_masks(g, [1 << v for v in range(g.n)])]
                     for a in sorted(set(rem)):
                         rem2 = tuple(_removed(rem, a))
                         for v in reps:

@@ -141,45 +141,59 @@ def complement(g):
     return Graph(g.n, (full & ~r & ~(1 << v) for v, r in enumerate(g.rows)))
 
 
+def _bfs_levels(rows, source):
+    """Yield, as bitmasks, the vertices at distance 1, 2, ... from source."""
+    visited = frontier = 1 << source
+    while True:
+        nxt = 0
+        for v in _bits(frontier):
+            nxt |= rows[v]
+        frontier = nxt & ~visited
+        if not frontier:
+            return
+        visited |= frontier
+        yield frontier
+
+
 def bfs_distances(g):
-    """All-pairs shortest-path matrix; unreachable pairs get np.inf."""
-    n = g.n
+    """All-pairs shortest-path matrix; unreachable pairs get np.inf.
+
+    Each BFS fills a Python row as it expands a level, and the rows become
+    one array at the end; numpy assignments per entry, or per level, were
+    slower at every order measured, 7 to 300.
+    """
     rows = g.rows
-    d = np.full((n, n), np.inf)
-    for s in range(n):
-        d[s, s] = 0.0
-        visited = 1 << s
-        frontier = 1 << s
-        level = 0
+    out = []
+    for s in range(g.n):
+        row = [math.inf] * g.n
+        visited = frontier = 1 << s
+        depth = 0
         while frontier:
             nxt = 0
             for v in _bits(frontier):
+                row[v] = depth
                 nxt |= rows[v]
-            nxt &= ~visited
-            level += 1
-            for v in _bits(nxt):
-                d[s, v] = level
-            visited |= nxt
-            frontier = nxt
-    return d
+            frontier = nxt & ~visited
+            visited |= frontier
+            depth += 1
+        out.append(row)
+    return np.array(out, dtype=np.float64)
+
 
 def diameter(g):
-    """Largest finite distance, or math.inf when g is disconnected."""
+    """Largest finite distance, or math.inf when g is disconnected.
+
+    The eccentricity of a vertex is its number of BFS levels; no distance
+    matrix is built.
+    """
     if not is_connected(g):
         return math.inf
-    return int(bfs_distances(g).max())
+    return max(sum(1 for _ in _bfs_levels(g.rows, s)) for s in range(g.n))
 
 
 def is_connected(g):
-    visited = 1
-    frontier = 1
-    while frontier:
-        nxt = 0
-        for v in _bits(frontier):
-            nxt |= g.rows[v]
-        frontier = nxt & ~visited
-        visited |= nxt
-    return visited.bit_count() == g.n
+    # the BFS levels are disjoint, so their sum is their union
+    return 1 + sum(_bfs_levels(g.rows, 0)) == (1 << g.n) - 1
 
 
 @dataclass(frozen=True)
@@ -295,17 +309,32 @@ def _refine(nbrs, colors):
         classes = len(relabel)
 
 
-def _twin_reps(rows, vertices):
-    """The vertices that are not a twin of an earlier one in the sequence.
+def _twins(rows):
+    """twin[v], the least twin of v.
 
-    Twins u, v have equal open or equal closed neighbourhoods. Swapping
-    them is an automorphism, and twinship is an equivalence relation.
+    Twins have equal open or equal closed neighbourhoods; no open
+    neighbourhood equals another vertex's closed one, twinship is an
+    equivalence relation, and swapping two twins is an automorphism.
     """
-    reps = []
-    for v in vertices:
-        if not any(rows[u] & ~(1 << v) == rows[v] & ~(1 << u) for u in reps):
-            reps.append(v)
-    return reps
+    first = {}
+    twin = []
+    for v, r in enumerate(rows):
+        u = first.get(r, first.get(r | 1 << v, v))
+        if u == v:
+            first[r] = first[r | 1 << v] = v
+        twin.append(u)
+    return twin
+
+
+def _swaps(twin):
+    """Each vertex's transposition with its least twin, as image tuples."""
+    out = []
+    for v, u in enumerate(twin):
+        if u != v:
+            perm = list(range(len(twin)))
+            perm[u], perm[v] = v, u
+            out.append(tuple(perm))
+    return out
 
 
 def canonical_form(g):
@@ -317,41 +346,95 @@ def canonical_form(g):
     of an individualisation-refinement search
     (McKay & Piperno, J. Symb. Comput. 2014). At each node it takes the
     first colour cell with the fewest twin classes, two at least,
-    individualises one vertex per twin class in it, refines, and recurses. A
-    node whose cells are each a single twin class has only automorphic
-    leaves, so it is one leaf: its vertices in colour order. Cached per graph.
+    individualises its vertices one at a time, refines, and recurses. A node
+    whose cells are each a single twin class has only automorphic leaves, so
+    it is one leaf: its vertices in colour order.
+
+    The search collects generators of automorphisms as it goes: the twin
+    transpositions, and the map from the best leaf to any leaf with an equal
+    matrix. It skips a branch vertex in the orbit of an explored sibling
+    under the generators that fix the current path pointwise. That subtree
+    is an automorphic image of one already searched, with the same leaf
+    matrices, so the pruning never changes the form. The form is cached per
+    graph, and so are the leaf generators, for _automorphisms.
     """
     cached = g.__dict__.get("_canon")
     if cached is not None:
         return cached
-    rows = g.rows
-    nbrs = [tuple(_bits(r)) for r in rows]
+    n = g.n
+    nbrs = [tuple(_bits(r)) for r in g.rows]
     degrees = [len(nb) for nb in nbrs]
     colors = _refine(nbrs, degrees)
-    signature = (g.n, sum(degrees) // 2, tuple(sorted(colors)))
-    best = math.inf
-    stack = [colors]
-    while stack:
-        colors = stack.pop()
+    signature = (n, sum(degrees) // 2, tuple(sorted(colors)))
+    twin = _twins(g.rows)
+    gens = _swaps(twin)
+    swaps = len(gens)
+    best = best_order = None
+    # one frame per open node: (path, colours, unexplored branch vertices,
+    # explored branch vertices)
+    frames = []
+    node = ((), colors)
+    while node is not None:
+        path, colors = node
         cells = [[] for _ in range(max(colors) + 1)]
         for v, c in enumerate(colors):
             cells[c].append(v)
-        branches = [r for r in (_twin_reps(rows, cell) for cell in cells) if len(r) > 1]
-        if not branches:
+        widths = [len({twin[v] for v in cell}) if cell[1:] else 1 for cell in cells]
+        width = min((w for w in widths if w > 1), default=0)
+        if width:
+            frames.append((path, colors, iter(cells[widths.index(width)]), []))
+        else:
             order = [v for cell in cells for v in cell]
-            bit = [0] * g.n
+            bit = [0] * n
             for i, v in enumerate(order):
                 bit[v] = 1 << i
             leaf = 0
             for v in order:
-                leaf = leaf << g.n | sum([bit[u] for u in nbrs[v]])
-            best = min(best, leaf)
-            continue
-        for v in reversed(min(branches, key=len)):
-            stack.append(_refine(nbrs, [2 * c + (u != v) for u, c in enumerate(colors)]))
+                leaf = leaf << n | sum([bit[u] for u in nbrs[v]])
+            if best is None or leaf < best:
+                best, best_order = leaf, order
+            elif leaf == best:
+                perm = [0] * n
+                for u, v in zip(best_order, order):
+                    perm[u] = v
+                gens.append(tuple(perm))
+        node = None
+        while frames and node is None:
+            path, colors, todo, explored = frames[-1]
+            v = next(todo, None)
+            if v is None:
+                frames.pop()
+            elif not explored or v not in _orbit(
+                explored, [p for p in gens if all(p[u] == u for u in path)]
+            ):
+                explored.append(v)
+                node = (path + (v,), _refine(nbrs, [2 * c + (u != v) for u, c in enumerate(colors)]))
     result = (signature, best)
     g.__dict__["_canon"] = result
+    if len(gens) > swaps:
+        g.__dict__["_leaf_auts"] = tuple(gens[swaps:])
     return result
+
+
+def _orbit(points, perms):
+    """The orbit of a set of vertices under the group the perms generate."""
+    orbit = set(points)
+    frontier = list(orbit)
+    for u in frontier:
+        for p in perms:
+            if p[u] not in orbit:
+                orbit.add(p[u])
+                frontier.append(p[u])
+    return orbit
+
+
+def _automorphisms(g):
+    """Generators, as image tuples, of the automorphisms canonical_form(g)
+    found. They may generate only a subgroup of Aut(g), which is all that
+    pruning by their orbits needs. The twin transpositions are rebuilt here
+    rather than cached."""
+    canonical_form(g)
+    return _swaps(_twins(g.rows)) + list(g.__dict__.get("_leaf_auts", ()))
 
 
 def are_isomorphic(g, h):

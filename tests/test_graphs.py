@@ -1,16 +1,18 @@
 """Graph core: construction, metrics, blocks, isomorphism.
 
 Oracles used here are independent of the implementation under test:
-Floyd-Warshall for distances, delete-and-probe for cut vertices, and full
-permutation search for isomorphism.
+Floyd-Warshall and a queue BFS for distances, delete-and-probe for cut
+vertices, and full permutation search for isomorphism and automorphisms.
 """
 
+import collections
 import itertools
 import math
 import random
 
 import pytest
 
+from blockspectra import families, graphs
 from blockspectra import (
     Graph,
     GraphError,
@@ -44,6 +46,37 @@ def floyd_warshall(g):
                 if d[i][k] + d[k][j] < d[i][j]:
                     d[i][j] = d[i][k] + d[k][j]
     return d
+
+
+def plain_bfs(g):
+    """Distance rows by a queue BFS over adjacency lists; inf if unreachable."""
+    adj = [[] for _ in range(g.n)]
+    for u, v in g.edges:
+        adj[u].append(v)
+        adj[v].append(u)
+    out = []
+    for s in range(g.n):
+        dist = [math.inf] * g.n
+        dist[s] = 0
+        queue = collections.deque([s])
+        while queue:
+            u = queue.popleft()
+            for v in adj[u]:
+                if dist[v] == math.inf:
+                    dist[v] = dist[u] + 1
+                    queue.append(v)
+        out.append(dist)
+    return out
+
+
+def brute_automorphisms(g):
+    """Every vertex permutation that maps the edge set onto itself."""
+    edges = set(map(frozenset, g.edges))
+    return [
+        p
+        for p in itertools.permutations(range(g.n))
+        if all(frozenset((p[u], p[v])) in edges for u, v in g.edges)
+    ]
 
 
 def brute_isomorphic(g, h):
@@ -198,6 +231,22 @@ class TestDistances:
         assert all(k5[i][j] == 1 for i in range(5) for j in range(5) if i != j)
         star = from_edge_list(4, [(0, 1), (0, 2), (0, 3)])
         assert bfs_distances(star)[1][2] == 2
+
+    def test_against_plain_bfs(self):
+        disconnected = [
+            from_edge_list(4, [(0, 1), (2, 3)]),
+            from_edge_list(7, [(0, 1), (1, 2), (3, 4), (4, 5), (5, 3)]),
+            from_edge_list(3, []),
+        ]
+        cases = [
+            *(g for n in range(1, 8) for g in enumerate_connected_graphs(n)),
+            *enumerate_trees(12),
+            *disconnected,
+        ]
+        for g in cases:
+            expected = plain_bfs(g)
+            assert bfs_distances(g).tolist() == expected, format_edge_list(g)
+            assert diameter(g) == max(max(row) for row in expected)
 
     def test_diameter(self):
         for n in range(2, 8):
@@ -361,6 +410,44 @@ class TestCanonicalForm:
         for g in classes:
             for _ in range(2):
                 assert canonical_form(relabelled(g, rng)) == canonical_form(g)
+
+    def test_found_automorphisms_match_brute_force(self):
+        """Vertex orbits and subset orbits, connected classes of order <= 6.
+
+        The subset orbits are the masks the connected enumerator attaches a
+        new vertex to; their number summed over all parents is the count of
+        candidates it canonicalises up to order 7.
+        """
+        candidates = 0
+        for n in range(1, 7):
+            for g in enumerate_connected_graphs(n):
+                auts = brute_automorphisms(g)
+                found = graphs._automorphisms(g)
+                for v in range(n):
+                    assert graphs._orbit([v], found) == {p[v] for p in auts}
+                masks = list(families._least_masks(g, range(1, 1 << n)))
+                brute = {min(sum(1 << p[v] for v in range(n) if m >> v & 1) for p in auts)
+                         for m in range(1, 1 << n)}
+                assert masks == sorted(brute), format_edge_list(g)
+                candidates += len(masks)
+        assert candidates == 4159
+
+    def test_orbit_pruning_bounds_the_search(self, monkeypatch):
+        # without orbit pruning, k interchangeable end cliques that are not
+        # twins cost about e * k! refinements, millions at k = 10; with it,
+        # 175 per form
+        refine = graphs._refine
+        calls = [0]
+
+        def counted(*args):
+            calls[0] += 1
+            if calls[0] > 500:
+                raise AssertionError("canonical_form took more than 500 refinements")
+            return refine(*args)
+
+        monkeypatch.setattr(graphs, "_refine", counted)
+        g = clique_star((3,) * 10, 3, 3)
+        assert canonical_form(relabelled(g, random.Random(1))) == canonical_form(g)
 
     @pytest.mark.parametrize(
         "g",

@@ -15,6 +15,7 @@ import pytest
 from blockspectra import (
     GraphError,
     are_isomorphic,
+    block_decomposition,
     clique_path,
     parse_edge_list,
     path_graph,
@@ -134,6 +135,22 @@ class TestExtremal:
             report = run_check(tid, n=6)
             assert report.passed, report.violations
             assert any("no equality characterization" in note for note in report.notes)
+
+    def test_clique_path_bound_fails_at_n10(self):
+        # a pinned fact, not a tolerance: T2.4 as stated has exactly these
+        # two counterexamples among the clique trees on 10 vertices
+        report = run_check("T2.4", n=10)
+        assert (report.checked, report.excluded, report.ties) == (1288, 252, 18)
+        margins = {}
+        for v in report.violations:
+            blocks = block_decomposition(parse_edge_list(v["graph"].replace("; ", "\n"))).blocks
+            margins[tuple(sorted(len(b) for b in blocks))] = v["margin"]
+        assert len(report.violations) == 2
+        assert margins == pytest.approx(
+            {(2, 3, 3, 3, 3): -0.00713914810771, (2, 2, 2, 3, 3, 3): -0.00379609039272},
+            abs=1e-9,
+        )
+        assert not report.passed
 
     def test_single_s_restriction(self):
         full = run_check("T2.4", n=6)
