@@ -3,7 +3,9 @@
 For each case, the SHA-256 of the JSON report (its `elapsed` line removed) and
 of the CSV report, plus the verdict, must match `golden_reports.json`. The
 cases are all 16 claims at default parameters, the T4.4 alias, a single-s
-clique-tree run, a vacuous diameter class and an L3.1 violation.
+clique-tree run, a vacuous diameter class, an L3.1 violation, larger samples
+of both clique-move lemmas, and T3.3 at n = 7, whose ties are isomorphic to
+the clique path.
 
 Regenerate the digests only for an intended report change:
 
@@ -27,6 +29,9 @@ CASES.update(
         "T2.4 n=7 s=3": {"n": 7, "s": 3},
         "L2.3 n=5 d=4": {"n": 5, "d": 4},
         "L3.1 n=5 d=3": {"n": 5, "d": 3},
+        "L2.1 n=12 trials=300 seed=3": {"n": 12, "trials": 300, "seed": 3},
+        "L4.2 n=12 trials=300 seed=3": {"n": 12, "trials": 300, "seed": 3},
+        "T3.3 n=7": {"n": 7},
     }
 )
 

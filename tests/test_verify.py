@@ -10,15 +10,18 @@ import json
 import random
 import time
 
+import numpy as np
 import pytest
 
 from blockspectra import (
+    EigenPair,
     GraphError,
     are_isomorphic,
     block_decomposition,
     clique_path,
     parse_edge_list,
     path_graph,
+    verify,
 )
 from blockspectra.verify import (
     ALIASES,
@@ -263,6 +266,41 @@ class TestMoves:
     def test_small_cap_rejected(self):
         with pytest.raises(GraphError):
             run_check("L2.1", trials=5, seed=0, n=4)
+
+
+class TestTieBranches:
+    """With every radius stubbed to 1, every comparison ties, so each tie
+    branch runs: a tie must be isomorphic to its comparator unless the bound
+    states no equality case."""
+
+    @pytest.fixture(autouse=True)
+    def all_radii_tie(self, monkeypatch):
+        def radii(graphs, kind, tol=None):
+            return [EigenPair(1.0, np.ones(g.n) / np.sqrt(g.n), 0.0, 0, "stub") for g in graphs]
+
+        monkeypatch.setattr(verify, "spectral_radii", radii)
+
+    def test_lower_bound_ties_off_the_comparator_are_violations(self):
+        report = run_check("T2.4", n=6)
+        assert (report.checked, report.ties) == (5, 3)
+        reasons = [v["reason"] for v in report.violations]
+        assert reasons == ["equality-characterization"] * 2
+
+    def test_upper_bound_ties_are_counted_in_a_note(self):
+        report = run_check("T2.2", n=6)
+        assert report.ties == 5 and report.passed
+        loose = "ties not isomorphic to the comparator: 5 "
+        assert any(note.startswith(loose) for note in report.notes)
+
+    def test_tree_chain_ties(self):
+        report = run_check("T2.5", n=7)
+        assert (report.checked, report.ties, len(report.violations)) == (8, 1, 15)
+
+    @pytest.mark.parametrize("tid", ["L2.1", "L4.2"])
+    def test_move_ties(self, tid):
+        report = run_check(tid, trials=20, seed=0, n=8)
+        assert (report.checked, report.ties, len(report.violations)) == (55, 16, 39)
+        assert {v["reason"] for v in report.violations} == {"equality-characterization"}
 
 
 class TestReports:
