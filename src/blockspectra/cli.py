@@ -112,8 +112,7 @@ def _cmd_enumerate(args):
     elif args.family == "connected":
         gs = list(enumerate_connected_graphs(n))
     else:
-        svals = [args.s] if args.s is not None else range(1, n)
-        gs = [g for sv in svals for g in enumerate_clique_trees(n, sv)]
+        gs = list(enumerate_clique_trees(n, args.s))
     if args.count_only:
         sys.stdout.write(f"{len(gs)}\n")
     else:

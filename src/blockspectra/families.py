@@ -229,10 +229,16 @@ def _removed(seq, value):
     return out
 
 
-def enumerate_clique_trees(n, s):
+def enumerate_clique_trees(n, s=None):
     """One representative per isomorphism class of clique trees with n vertices
-    and s blocks; empty parameters are rejected rather than silently empty."""
-    yield from _clique_tree_classes(int(n), int(s))
+    and s blocks, or with each block count in turn if s is None. Empty
+    parameters are rejected rather than silently empty; only n = 1 with every
+    block count yields nothing."""
+    n = int(n)
+    if n < 1:
+        raise GraphError(f"clique-tree enumeration needs n >= 1, got n={n}")
+    for s in range(1, n) if s is None else [int(s)]:
+        yield from _clique_tree_classes(n, s)
 
 
 def random_clique_tree(n, s, seed):

@@ -3,8 +3,10 @@
 Every claim is one record in CLAIMS: a graph family, a per-instance
 comparison of complement spectral radii (or of matrices, for L4.1), and a
 reduction of those comparisons into a TheoremReport. run_check drives every
-record through the same pipeline. Checks never assert: they record
-violations, near-ties with an isomorphism classification, hypothesis
+record through the same pipeline. One step, _versus, compares a radius with
+the least or greatest radius of comparator graphs for all twelve claims of
+that shape, each admissible clique move included. Checks never assert: they
+record violations, near-ties with an isomorphism classification, hypothesis
 exclusions, and extremal witnesses, so a run is interpretable on its own and
 a genuine counterexample surfaces loudly.
 
@@ -91,13 +93,7 @@ class TheoremReport:
             "checked": self.checked,
             "excluded": self.excluded,
             "violations": [
-                {
-                    "graph": v["graph"],
-                    "lhs": _num(v["lhs"]),
-                    "rhs": _num(v["rhs"]),
-                    "margin": _num(v["margin"]),
-                    "reason": v["reason"],
-                }
+                {key: x if key in ("graph", "reason") else _num(x) for key, x in v.items()}
                 for v in self.violations
             ],
             "ties": self.ties,
@@ -111,11 +107,8 @@ class TheoremReport:
     def to_csv(self):
         lines = ["theorem,graph,side,lhs,rhs,margin,status"]
         for r in self.rows:
-            lines.append(
-                f"{self.theorem},{r['graph']},{r['side']},"
-                f"{format(float(r['lhs']), '.12g')},{format(float(r['rhs']), '.12g')},"
-                f"{format(float(r['margin']), '.12g')},{r['status']}"
-            )
+            nums = ",".join(format(float(r[key]), ".12g") for key in ("lhs", "rhs", "margin"))
+            lines.append(f"{self.theorem},{r['graph']},{r['side']},{nums},{r['status']}")
         return "\n".join(lines) + "\n"
 
 
@@ -163,107 +156,80 @@ def _comparators(shape, sizes):
 # Per-instance steps take (instance, params) and return None for an instance
 # outside the hypothesis, else the record their claim's reduction reads. A
 # step that compares radii is a generator: it yields (kind, graphs), is sent
-# back one EigenPair per graph, and returns its record (see _run_rounds).
+# back one EigenPair per graph, and returns its record (see _run_rounds). All
+# radius comparisons are _versus steps; a comparison claim's hypothesis
+# sides(g, p) gives None for an excluded g, else the (side, comparator graphs)
+# pairs. It is a plain function, so none of its locals wait with the step.
 
 
-def _compared(g, side, lhs, rhs, tie_with):
-    """One comparison; slack >= 0 means the claimed direction holds.
-
-    A "lower" side claims lhs >= rhs, any other side lhs <= rhs. On a tie
-    within EPS, tie_ok says whether g is isomorphic to one of tie_with, the
-    claimed equality cases; otherwise it is None.
-    """
-    slack = lhs - rhs if side == "lower" else rhs - lhs
-    tie_ok = any(are_isomorphic(g, h) for h in tie_with) if abs(lhs - rhs) <= EPS else None
-    return (side, lhs, rhs, slack, tie_ok)
-
-
-def _versus(g, kind, *sides):
-    """Compare g's radius with each (side, comparator graphs) pair: a lower
-    side with the least comparator radius, an upper side with the greatest."""
+def _versus(g, kind, sides):
+    """Compare g's radius with each (side, comparator graphs) pair: a "lower"
+    side claims it is at least the least comparator radius, any other side at
+    most the greatest; slack >= 0 means the claim holds. On a tie within EPS,
+    tie_ok says whether g is a comparator up to isomorphism, else it is None."""
     pairs = yield kind, (g, *(h for _, others in sides for h in others))
-    radii = (pair.value for pair in pairs)
+    radii = iter([pair.value for pair in pairs])
     lam = next(radii)
     comparisons = []
     for side, others in sides:
-        pick = min if side == "lower" else max
-        comparisons.append(_compared(g, side, lam, pick(next(radii) for _ in others), others))
+        rhs = (min if side == "lower" else max)(itertools.islice(radii, len(others)))
+        slack = lam - rhs if side == "lower" else rhs - lam
+        # labelled equality first, so an identity move needs no canonical form
+        tied = abs(lam - rhs) <= EPS
+        tie_ok = any(h == g or are_isomorphic(g, h) for h in others) if tied else None
+        comparisons.append((side, lam, rhs, slack, tie_ok))
     return {"graph": _gstr(g), "comparisons": comparisons}
 
 
-def _tree_chain(g, p, kind):
+def _compare(g, p, kind, sides):
+    pairs = sides(g, p)
+    return None if pairs is None else _versus(g, kind, pairs)
+
+
+def _tree_chain(g, p):
+    """A tree of diameter > 3 lies above the path and below the broom."""
     if diameter(g) <= 3:
         return None
-    sides = ("lower", (path_graph(g.n),)), ("upper", (broom(g.n),))
-    return (yield from _versus(g, kind, *sides))
+    return ("lower", (path_graph(g.n),)), ("upper", (broom(g.n),))
 
 
-# A step keeps its locals while it waits for radii, and a whole family's
-# steps wait at once, so the helpers below hand a step only what it needs
-# from a block decomposition, never the decomposition itself.
-
-
-def _spread_block_sizes(g):
-    """Sorted block sizes of g, or None if no two cut vertices are spread."""
+def _block_bound(side, g, p):
+    """The clique paths below g, or the clique stars above it, with its block sizes."""
     decomp = block_decomposition(g)
     if not _has_spread_cut_pair(decomp):
         return None
-    return tuple(sorted(len(b) for b in decomp.blocks))
+    sizes = tuple(sorted(len(b) for b in decomp.blocks))
+    return ((side, _comparators("path" if side == "lower" else "star", sizes)),)
 
 
-def _move_candidates(g):
-    """(end clique K, its cut vertex v, cut vertex w) for every end clique
-    and every w outside K or equal to v; None if no two cut vertices are
-    spread."""
-    decomp = block_decomposition(g)
-    if not _has_spread_cut_pair(decomp):
-        return None
-    cuts = sorted(decomp.cut_vertices)
-    return [(K, v, w) for K, v in end_cliques(g, decomp) for w in cuts if w == v or w not in K]
-
-
-def _block_bound(g, p, kind, side):
-    sizes = _spread_block_sizes(g)
-    if sizes is None:
-        return None
-    others = _comparators("path" if side == "lower" else "star", sizes)
-    return (yield from _versus(g, kind, (side, others)))
-
-
-def _completion(g, p, kind, side):
+def _completion(side, g, p):
     if not _has_spread_cut_pair(block_decomposition(g)):
         return None
-    return (yield from _versus(g, kind, (side, (complete_blocks(g),))))
+    return ((side, (complete_blocks(g),)),)
 
 
 def _clique_move(spec, p, kind, toward_smaller_entry):
-    """Every admissible move of one sampled clique tree.
+    """Every admissible move of one sampled clique tree, compared with it.
 
-    L2.1 moves an end clique from v to w when x(v) >= x(w) for the Perron
-    vector x, L4.2 when x(w) >= x(v); either way the radius must not drop.
+    A move takes an end clique K from its cut vertex v to a cut vertex w
+    outside K, or to v itself (the identity move). L2.1 admits it when
+    x(v) >= x(w) for the Perron vector x, L4.2 when x(w) >= x(v); either way
+    the radius must not drop.
     """
     g = random_clique_tree(*spec)
-    candidates = _move_candidates(g)
-    if candidates is None:
+    decomp = block_decomposition(g)
+    if not _has_spread_cut_pair(decomp):
         return None
-    (pair,) = yield kind, (g,)
-    lam0 = pair.value
-    x = pair.vector
-    # the admissible moves in order; None is the identity move w = v
-    moved = []
-    for K, v, w in candidates:
-        big, small = (v, w) if toward_smaller_entry else (w, v)
-        if x[big] >= x[small] - ENTRY_SLACK:
-            moved.append(None if w == v else move_clique(g, K, v, w))
-    pairs = iter((yield kind, tuple(h for h in moved if h is not None)))
-    comparisons = []
-    for h in moved:
-        if h is None:
-            # identical graph, exact tie by construction
-            comparisons.append(("move", lam0, lam0, 0.0, True))
-        else:
-            comparisons.append(_compared(g, "move", lam0, next(pairs).value, (h,)))
-    return {"graph": _gstr(g), "comparisons": comparisons}
+    ends, cuts = end_cliques(g, decomp), sorted(decomp.cut_vertices)
+    del decomp  # every sampled tree's step waits at once; hold no decomposition
+    x = (yield kind, (g,))[0].vector
+    moves = []
+    for K, v in ends:
+        for w in cuts:
+            big, small = (v, w) if toward_smaller_entry else (w, v)
+            if (w == v or w not in K) and x[big] >= x[small] - ENTRY_SLACK:
+                moves.append(("move", (g if w == v else move_clique(g, K, v, w),)))
+    return (yield from _versus(g, kind, moves))
 
 
 def _identity(g, p):
@@ -428,8 +394,8 @@ def _trees(p):
 
 
 def _clique_trees(p):
-    svals = range(1, p["n"]) if p.get("s", "all") == "all" else [p["s"]]
-    return [g for s in svals for g in enumerate_clique_trees(p["n"], s)]
+    s = p.get("s", "all")
+    return list(enumerate_clique_trees(p["n"], None if s == "all" else s))
 
 
 def _connected(p):
@@ -455,31 +421,23 @@ DIST = "complement_distance"
 CLIQUE_TREES = {"n": (6, 1), "s": ("all", None)}
 BLOCK_GRAPHS = {"n": (6, 1)}
 HYPOTHESIS = "hypothesis: two cut vertices sharing no block; others excluded"
+BOUND_NOTES = (HYPOTHESIS, ORDERING_NOTE)
+COMPLETION_NOTES = (HYPOTHESIS, "ties must be graphs already equal to their block completion")
+TREE_HYPOTHESIS = "hypothesis: trees with diameter > 3; others excluded"
 NO_EQUALITY = "no equality characterization is stated for this bound"
+PATH_BOUND = partial(_block_bound, "lower")
+STAR_BOUND = partial(_block_bound, "upper")
 
 
-def _bound_claim(text, params, family, kind, side, *notes, eq_required=True):
-    instance = partial(_block_bound, kind=kind, side=side)
-    reduce = partial(_reduce, eq_required=eq_required)
-    return Claim(text, params, family, instance, reduce, (HYPOTHESIS, ORDERING_NOTE, *notes))
-
-
-def _tree_claim(text, kind):
-    notes = ("hypothesis: trees with diameter > 3; others excluded",)
-    return Claim(text, {"n": (8, 1)}, _trees, partial(_tree_chain, kind=kind), _reduce, notes)
+def _compare_claim(text, params, family, kind, sides, *notes, eq_required=True):
+    instance = partial(_compare, kind=kind, sides=sides)
+    return Claim(text, params, family, instance, partial(_reduce, eq_required=eq_required), notes)
 
 
 def _class_max_claim(text, family, kind, rising=False):
     instance = partial(_class_member, kind=kind)
     reduce = partial(_reduce_class_max, rising=rising)
     return Claim(text, {"n": (6, 1), "d": (3, 3)}, family, instance, reduce)
-
-
-def _completion_claim(text, kind, side):
-    family = partial(_connected_up_to, 2)
-    instance = partial(_completion, kind=kind, side=side)
-    notes = (HYPOTHESIS, "ties must be graphs already equal to their block completion")
-    return Claim(text, {"n_max": (5, 1)}, family, instance, _reduce, notes)
 
 
 def _move_claim(text, kind, toward_smaller_entry):
@@ -496,20 +454,21 @@ CLAIMS = {
     "L2.1": _move_claim(
         "clique move keeps adjacency spectral radius of the complement non-decreasing", ADJ, True
     ),
-    "T2.2": _bound_claim(
+    "T2.2": _compare_claim(
         "clique-star upper bound, adjacency spectral radius of complements of clique trees",
-        CLIQUE_TREES, _clique_trees, ADJ, "upper", NO_EQUALITY, eq_required=False,
+        CLIQUE_TREES, _clique_trees, ADJ, STAR_BOUND, *BOUND_NOTES, NO_EQUALITY, eq_required=False,
     ),
     "L2.3": _class_max_claim(
         "class max over clique trees non-increasing in diameter (adjacency of complement)",
         _clique_trees, ADJ,
     ),
-    "T2.4": _bound_claim(
+    "T2.4": _compare_claim(
         "clique-path lower bound, adjacency spectral radius of complements of clique trees",
-        CLIQUE_TREES, _clique_trees, ADJ, "lower",
+        CLIQUE_TREES, _clique_trees, ADJ, PATH_BOUND, *BOUND_NOTES,
     ),
-    "T2.5": _tree_claim(
-        "path/broom chain over trees, adjacency spectral radius of complements", ADJ
+    "T2.5": _compare_claim(
+        "path/broom chain over trees, adjacency spectral radius of complements",
+        {"n": (8, 1)}, _trees, ADJ, _tree_chain, TREE_HYPOTHESIS,
     ),
     # Unlike T3.3, T5.2, L3.2 and L5.1, L3.1 keeps every connected graph: no
     # two-spread-cut-vertex filter. The README's "Criterion 7 fails" section
@@ -520,13 +479,14 @@ CLAIMS = {
         "(README, 'Criterion 7 fails')",
         _connected, ADJ, rising=True,
     ),
-    "L3.2": _completion_claim(
+    "L3.2": _compare_claim(
         "block completion does not raise the adjacency spectral radius of the complement",
-        ADJ, "lower",
+        {"n_max": (5, 1)}, partial(_connected_up_to, 2), ADJ, partial(_completion, "lower"),
+        *COMPLETION_NOTES,
     ),
-    "T3.3": _bound_claim(
+    "T3.3": _compare_claim(
         "clique-path lower bound, adjacency spectral radius of complements of block graphs",
-        BLOCK_GRAPHS, _connected, ADJ, "lower",
+        BLOCK_GRAPHS, _connected, ADJ, PATH_BOUND, *BOUND_NOTES,
         "equality case tested as B isomorphic to the clique path itself; the "
         "claim's equality clause names the complement on one side, which is "
         "inconsistent with the parallel claims and flagged here rather than guessed",
@@ -543,24 +503,26 @@ CLAIMS = {
         "class max over clique trees non-increasing in diameter (distance of complement)",
         _clique_trees, DIST,
     ),
-    "L4.4": _bound_claim(
+    "L4.4": _compare_claim(
         "clique-path lower bound, distance spectral radius of complements of clique trees",
-        CLIQUE_TREES, _clique_trees, DIST, "lower",
+        CLIQUE_TREES, _clique_trees, DIST, PATH_BOUND, *BOUND_NOTES,
     ),
-    "T4.5": _bound_claim(
+    "T4.5": _compare_claim(
         "clique-star upper bound, distance spectral radius of complements of clique trees",
-        CLIQUE_TREES, _clique_trees, DIST, "upper", NO_EQUALITY, eq_required=False,
+        CLIQUE_TREES, _clique_trees, DIST, STAR_BOUND, *BOUND_NOTES, NO_EQUALITY, eq_required=False,
     ),
-    "T4.6": _tree_claim(
-        "path/broom chain over trees, distance spectral radius of complements", DIST
+    "T4.6": _compare_claim(
+        "path/broom chain over trees, distance spectral radius of complements",
+        {"n": (8, 1)}, _trees, DIST, _tree_chain, TREE_HYPOTHESIS,
     ),
-    "L5.1": _completion_claim(
+    "L5.1": _compare_claim(
         "block completion does not lower the distance spectral radius of the complement",
-        DIST, "upper",
+        {"n_max": (5, 1)}, partial(_connected_up_to, 2), DIST, partial(_completion, "upper"),
+        *COMPLETION_NOTES,
     ),
-    "T5.2": _bound_claim(
+    "T5.2": _compare_claim(
         "clique-star upper bound, distance spectral radius of complements of block graphs",
-        BLOCK_GRAPHS, _connected, DIST, "upper",
+        BLOCK_GRAPHS, _connected, DIST, STAR_BOUND, *BOUND_NOTES,
     ),
 }
 
@@ -613,7 +575,7 @@ def _run_rounds(tid, p, items):
 def _run_family(tid, p, items, jobs):
     """_run_rounds over `jobs` contiguous chunks of the items, in item order."""
     items = list(items)
-    if jobs is None or jobs <= 1 or len(items) < 2:
+    if jobs == 1 or len(items) < 2:
         return _run_rounds(tid, p, items)
     size = -(-len(items) // jobs)
     chunks = [items[i : i + size] for i in range(0, len(items), size)]
@@ -636,6 +598,8 @@ def run_check(theorem, n=None, s=None, d=None, trials=None, seed=None, jobs=1):
     if tid not in CLAIMS:
         known = ", ".join(sorted(CLAIMS))
         raise GraphError(f"unknown theorem id {theorem!r}; known ids: {known}")
+    if jobs < 1:
+        raise GraphError(f"jobs must be >= 1, got jobs={jobs}")
     claim = CLAIMS[tid]
     given = {"n": n, "s": s, "d": d, "trials": trials, "seed": seed}
     taken = {key: "n" if key == "n_max" else key for key in claim.params}

@@ -218,6 +218,11 @@ class TestEnumerate:
         )
         assert code == 0 and out == "1\n"
 
+    def test_cliquetrees_every_block_count(self, capsys):
+        for n, count in [("1", "0"), ("6", "22")]:
+            code, out, _ = run_cli(capsys, ["enumerate", "cliquetrees", "--n", n, "--count-only"])
+            assert (code, out) == (0, count + "\n")
+
     def test_connected_5(self, capsys):
         code, out, _ = run_cli(
             capsys, ["enumerate", "connected", "--n", "5", "--count-only"]
@@ -256,6 +261,8 @@ class TestEnumerate:
         ["verify", "L4.1", "--trials", "5"],
         ["verify", "L2.1", "--d", "4"],
         ["spectrum", "--tol", "-1e-10"],
+        ["enumerate", "cliquetrees", "--n", "0"],
+        ["enumerate", "cliquetrees", "--n", "-5"],
     ],
 )
 def test_bad_parameter_is_a_one_line_error(capsys, monkeypatch, argv):
@@ -267,6 +274,13 @@ def test_bad_parameter_is_a_one_line_error(capsys, monkeypatch, argv):
     assert code == 1
     assert out == ""
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_bad_jobs_is_a_one_line_error(capsys, jobs):
+    code, out, err = run_cli(capsys, ["verify", "L2.1", "--trials", "3", "--jobs", jobs])
+    assert (code, out) == (1, "")
+    assert err == f"error: jobs must be >= 1, got jobs={jobs}\n"
 
 
 @pytest.mark.parametrize("header", ["30000 0", "1000000000000 0"])
