@@ -2,7 +2,8 @@
 
 Oracles used here are independent of the implementation under test:
 Floyd-Warshall and a queue BFS for distances, delete-and-probe for cut
-vertices, and full permutation search for isomorphism and automorphisms.
+vertices, a search over every vertex subset for blocks, and full permutation
+search for isomorphism and automorphisms.
 """
 
 import collections
@@ -102,6 +103,30 @@ def brute_cut_vertices(g):
         if not is_connected(from_edge_list(len(keep), edges)):
             cuts.add(v)
     return cuts
+
+
+def brute_blocks(g):
+    """Blocks by definition: the maximal vertex sets of size >= 2 that induce a
+    connected subgraph with no cut vertex, found by trying every subset."""
+
+    def connected(vertices):
+        if not vertices:
+            return True
+        reach, frontier = set(), [min(vertices)]
+        while frontier:
+            u = frontier.pop()
+            if u not in reach:
+                reach.add(u)
+                frontier.extend(v for v in g.neighbors(u) if v in vertices)
+        return reach == vertices
+
+    candidates = []
+    for size in range(2, g.n + 1):
+        for subset in itertools.combinations(range(g.n), size):
+            s = set(subset)
+            if connected(s) and all(connected(s - {v}) for v in s):
+                candidates.append(frozenset(s))
+    return {b for b in candidates if not any(b < c for c in candidates)}
 
 
 def random_graph(rng, n, p=0.5):
@@ -330,6 +355,26 @@ class TestBlocks:
                     v for v in range(n) if sum(v in b for b in d.blocks) >= 2
                 }
                 assert in_two == set(d.cut_vertices)
+
+    def test_brute_force_block_oracle(self):
+        """Blocks and cut vertices by definition, every connected class with
+        n <= 6 and seeded random labelled graphs; disconnected input raises."""
+        rng = random.Random(11)
+        pool = [g for n in range(1, 7) for g in enumerate_connected_graphs(n)]
+        for _ in range(300):
+            pool.append(random_graph(rng, rng.randint(1, 9), rng.choice((0.2, 0.4, 0.7))))
+        disconnected = 0
+        for g in pool:
+            if not is_connected(g):
+                disconnected += 1
+                with pytest.raises(GraphError, match="requires a connected graph"):
+                    block_decomposition(g)
+                continue
+            d = block_decomposition(g)
+            assert set(d.blocks) == brute_blocks(g) and d.s == len(d.blocks)
+            assert list(d.blocks) == sorted(d.blocks, key=sorted)
+            assert d.cut_vertices == frozenset(brute_cut_vertices(g))
+        assert disconnected >= 100  # 130 of the 300 random graphs
 
     def test_is_clique_tree(self):
         for n in range(1, 7):
