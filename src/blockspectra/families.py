@@ -192,10 +192,16 @@ def _size_multisets(total, s, minimum=2):
             yield (first,) + rest
 
 
+# Largest clique-tree order enumerated, and sampled by the clique-move claims.
+MAX_CLIQUE_TREE_ORDER = 12
+
+
 @lru_cache(maxsize=None)
 def _clique_tree_classes(n, s):
-    if n > 12:
-        raise GraphError(f"clique-tree enumeration capped at n = 12, got n={n}")
+    if n > MAX_CLIQUE_TREE_ORDER:
+        raise GraphError(
+            f"clique-tree enumeration capped at n = {MAX_CLIQUE_TREE_ORDER}, got n={n}"
+        )
     if s < 1 or n < s + 1:
         raise GraphError(f"no clique tree has n={n} vertices and s={s} blocks")
     out = []

@@ -208,65 +208,50 @@ class BlockDecomposition:
 def block_decomposition(g):
     """Decompose a connected graph into blocks and cut vertices.
 
-    Iterative DFS lowpoint algorithm; edges are stacked and popped as a block
-    whenever a child subtree cannot reach above its attachment point. A K1
-    input yields zero blocks.
+    One iterative lowpoint DFS (Hopcroft & Tarjan, CACM 16(6), 1973) that
+    stacks each vertex as it is discovered. When a child v of u finishes with
+    low[v] >= disc[u], u and the vertices popped down to v form a block; the
+    parent edge lowers low[v] only to disc[u], so it needs no special case. A
+    cut vertex is a vertex in two blocks or more. A DFS that reaches fewer
+    than n vertices means g is disconnected. A K1 input yields zero blocks.
     """
-    if not is_connected(g):
-        raise GraphError("block decomposition requires a connected graph")
     n = g.n
     disc = [-1] * n
     low = [0] * n
-    parent = [-1] * n
-    edge_stack = []
-    blocks = []
-    cuts = set()
-
-    disc[0] = low[0] = 0
+    disc[0] = 0
     clock = 1
-    root_children = 0
-    stack = [(0, iter(g.neighbors(0)))]
-    while stack:
-        v, it = stack[-1]
-        advanced = False
-        for w in it:
-            if w == parent[v]:
-                continue
-            if disc[w] == -1:
-                parent[w] = v
+    stack = [0]
+    frames = [(0, _bits(g.rows[0]))]
+    blocks = []
+    while frames:
+        u, nbrs = frames[-1]
+        for w in nbrs:
+            if disc[w] < 0:
                 disc[w] = low[w] = clock
                 clock += 1
-                edge_stack.append((v, w))
-                if v == 0:
-                    root_children += 1
-                stack.append((w, iter(g.neighbors(w))))
-                advanced = True
+                stack.append(w)
+                frames.append((w, _bits(g.rows[w])))
                 break
-            if disc[w] < disc[v]:
-                edge_stack.append((v, w))
-                if disc[w] < low[v]:
-                    low[v] = disc[w]
-        if advanced:
-            continue
-        stack.pop()
-        if not stack:
-            break
-        u = stack[-1][0]
-        if low[v] < low[u]:
-            low[u] = low[v]
-        if low[v] >= disc[u]:
-            comp = set()
-            while True:
-                e = edge_stack.pop()
-                comp.update(e)
-                if e == (u, v):
-                    break
-            blocks.append(frozenset(comp))
-            if u != 0:
-                cuts.add(u)
-    if root_children >= 2:
-        cuts.add(0)
+            if disc[w] < low[u]:
+                low[u] = disc[w]
+        else:
+            frames.pop()
+            if frames:
+                parent = frames[-1][0]
+                if low[u] < low[parent]:
+                    low[parent] = low[u]
+                if low[u] >= disc[parent]:
+                    block = [parent]
+                    while block[-1] != u:
+                        block.append(stack.pop())
+                    blocks.append(frozenset(block))
+    if clock < n:
+        raise GraphError("block decomposition requires a connected graph")
     blocks.sort(key=lambda b: tuple(sorted(b)))
+    seen, cuts = set(), set()
+    for block in blocks:
+        cuts |= seen & block
+        seen |= block
     return BlockDecomposition(tuple(blocks), frozenset(cuts), len(blocks))
 
 
@@ -277,9 +262,10 @@ def is_clique_tree(g):
 
 def _clique_tree_blocks(g):
     """The block decomposition of g if g is a clique tree, else None."""
-    if not is_connected(g):
+    try:
+        decomp = block_decomposition(g)
+    except GraphError:
         return None
-    decomp = block_decomposition(g)
     for block in decomp.blocks:
         bmask = 0
         for v in block:

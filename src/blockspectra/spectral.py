@@ -109,31 +109,27 @@ def _fix_sign(x):
     return x
 
 
-def power_iteration(m, tol=DEFAULT_TOL, max_iter=None):
+def power_iteration(m, tol=DEFAULT_TOL):
     """Shifted power iteration for the largest eigenvalue of a symmetric matrix.
 
     Iterates x <- (m + cI)x with c the largest absolute row sum, so the shifted
     matrix is positive semidefinite and bipartite adjacency matrices cannot
     oscillate. Starts from the normalized all-ones vector; converged when two
     successive Rayleigh quotients differ by less than tol and the residual
-    ||mx - lambda x|| drops below tol. Returns None if the iteration cap is
-    reached (caller falls back to Jacobi); random restarts fire only on a
-    stalled (kernel) iterate.
+    ||mx - lambda x|| drops below tol. Returns None if an iterate falls into
+    the kernel of m + cI or the 100*n iteration cap is reached (caller falls
+    back to Jacobi). The kernel is never reached for a nonnegative m, such as
+    the four graph matrices: (m + cI)x > 0 for every x > 0.
     """
     a = _check_symmetric(m)
     n = a.shape[0]
-    if max_iter is None:
-        max_iter = 100 * n
     if not a.any():
         x = np.ones(n) / math.sqrt(n)
         return EigenPair(0.0, x, 0.0, 0, "power")
     c = float(np.abs(a).sum(axis=1).max())
     x = np.ones(n) / math.sqrt(n)
-    # made at the first restart only: most solves never restart, and numpy
-    # imports numpy.random, ~5 MB of resident memory, on first use
-    rng = None
     lam_prev = None
-    for k in range(max_iter):
+    for k in range(100 * n):
         y = a @ x
         lam = float(x @ y)
         residual = float(np.linalg.norm(y - lam * x))
@@ -143,23 +139,16 @@ def power_iteration(m, tol=DEFAULT_TOL, max_iter=None):
         z = y + c * x
         nz = float(np.linalg.norm(z))
         if nz < 1e-12 * (c + 1.0):
-            # x landed in the kernel of m + cI (the minimum eigenspace): restart
-            if rng is None:
-                rng = np.random.default_rng(12345)
-            x = rng.standard_normal(n)
-            x /= np.linalg.norm(x)
-            lam_prev = None
-            continue
+            return None
         x = z / nz
     return None
 
 
-def jacobi_eigh(m, max_sweeps=30):
+def jacobi_eigh(m):
     """Full symmetric eigendecomposition by cyclic Jacobi rotations.
 
     Returns (eigenvalues, eigenvectors-as-columns), unsorted. Raises
-    SpectralError if the off-diagonal mass has not vanished after max_sweeps
-    sweeps.
+    SpectralError if the off-diagonal mass has not vanished after 30 sweeps.
     """
     a = _check_symmetric(m).copy()
     n = a.shape[0]
@@ -172,7 +161,7 @@ def jacobi_eigh(m, max_sweeps=30):
     iu = np.triu_indices(n, 1)
     # summing the strict upper triangle directly avoids the catastrophic
     # cancellation of frobenius-minus-diagonal once entries are near zero
-    for _ in range(max_sweeps):
+    for _ in range(30):
         off = math.sqrt(2.0 * float((a[iu] ** 2).sum()))
         if off <= stop:
             break
@@ -206,7 +195,7 @@ def jacobi_eigh(m, max_sweeps=30):
         off = math.sqrt(2.0 * float((a[iu] ** 2).sum()))
         if off > stop:
             raise SpectralError(
-                f"jacobi failed to converge in {max_sweeps} sweeps (off-diagonal {off:.3e})"
+                f"jacobi failed to converge in 30 sweeps (off-diagonal {off:.3e})"
             )
     return np.diagonal(a).copy(), v
 
@@ -295,7 +284,8 @@ def _power_stack(a, tol):
     and norm, and each row gets the bits it gets alone. The residual is
     computed only for rows whose Rayleigh quotient moved by less than tol.
     Returns one EigenPair per row, or None for a row that leaves the batch:
-    a zero matrix, an iterate that would restart, or a row at the 100*n cap.
+    a zero matrix, an iterate in the kernel of m + cI, or a row at the 100*n
+    cap.
     """
     count, n, _ = a.shape
     out = [None] * count
@@ -340,8 +330,8 @@ def spectral_radii(graphs, kind, tol=DEFAULT_TOL):
     complement) to be connected. Graphs of one order are solved together in
     stacks by the batched power iteration, and every pair has the bits
     dominant_eigenpair gives that graph's matrix alone: a stack of one
-    matrix, and every row that leaves a batch (zero matrix, restart, or
-    iteration cap), is solved by dominant_eigenpair itself, and the first
+    matrix, and every row that leaves a batch (zero matrix, kernel iterate
+    or iteration cap), is solved by dominant_eigenpair itself, and the first
     graph of each stack is solved alone too, as a check on the stack.
     """
     if kind not in SPECTRAL_KINDS:

@@ -3,7 +3,9 @@ blocks to cliques.
 
 These are the operations the extremal claims compare across; which clique to
 move where is chosen in the verify module, keeping the surgery itself
-reusable.
+reusable. end_cliques and move_clique take an optional decomp, the caller's
+block_decomposition of g, so that a caller who has decomposed g once reads
+its blocks and cut vertices from that one decomposition.
 """
 
 from __future__ import annotations
@@ -28,16 +30,21 @@ def end_cliques(g, decomp=None):
     return out
 
 
-def move_clique(g, K, v, w):
+def move_clique(g, K, v, w, decomp=None):
     """Detach the end clique K from its cut vertex v and reattach it at w.
 
     Removes every edge from v into K - {v} and joins each vertex of K - {v}
     to w instead; internal edges of K - {v} stay. The result is a clique tree
     with the same block-size multiset. w = v returns g unchanged.
+
+    Without decomp, g is decomposed here and must be a clique tree. A given
+    decomp must be block_decomposition(g) of a clique tree g; K, v and w are
+    checked against it either way.
     """
-    decomp = _clique_tree_blocks(g)
     if decomp is None:
-        raise GraphError("move_clique requires a clique tree")
+        decomp = _clique_tree_blocks(g)
+        if decomp is None:
+            raise GraphError("move_clique requires a clique tree")
     K = frozenset(K)
     if K not in decomp.blocks:
         raise GraphError(f"{sorted(K)} is not a block of the graph")

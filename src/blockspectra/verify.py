@@ -30,6 +30,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .families import (
+    MAX_CLIQUE_TREE_ORDER,
     broom,
     clique_path,
     clique_star,
@@ -218,17 +219,17 @@ def _clique_move(spec, p, kind, toward_smaller_entry):
     """
     g = random_clique_tree(*spec)
     decomp = block_decomposition(g)
+    # before the Perron round: an excluded tree's complement may be
+    # disconnected, and its complement distance matrix is then undefined
     if not _has_spread_cut_pair(decomp):
         return None
-    ends, cuts = end_cliques(g, decomp), sorted(decomp.cut_vertices)
-    del decomp  # every sampled tree's step waits at once; hold no decomposition
     x = (yield kind, (g,))[0].vector
     moves = []
-    for K, v in ends:
-        for w in cuts:
+    for K, v in end_cliques(g, decomp):
+        for w in sorted(decomp.cut_vertices):
             big, small = (v, w) if toward_smaller_entry else (w, v)
             if (w == v or w not in K) and x[big] >= x[small] - ENTRY_SLACK:
-                moves.append(("move", (g if w == v else move_clique(g, K, v, w),)))
+                moves.append(("move", (g if w == v else move_clique(g, K, v, w, decomp),)))
     return (yield from _versus(g, kind, moves))
 
 
@@ -407,6 +408,10 @@ def _connected_up_to(first, p):
 
 
 def _move_specs(p):
+    if p["n_max"] > MAX_CLIQUE_TREE_ORDER:
+        raise GraphError(
+            f"clique-move sampling capped at n = {MAX_CLIQUE_TREE_ORDER}, got n={p['n_max']}"
+        )
     rng = random.Random(p["seed"])
     specs = []
     for _ in range(p["trials"]):

@@ -263,6 +263,8 @@ class TestEnumerate:
         ["spectrum", "--tol", "-1e-10"],
         ["enumerate", "cliquetrees", "--n", "0"],
         ["enumerate", "cliquetrees", "--n", "-5"],
+        ["verify", "L2.1", "--n", "100000", "--trials", "1"],
+        ["verify", "L4.2", "--n", "13"],
     ],
 )
 def test_bad_parameter_is_a_one_line_error(capsys, monkeypatch, argv):

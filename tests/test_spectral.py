@@ -162,12 +162,13 @@ class TestSolverRoutes:
             assert np.allclose(np.sort(vals), np.linalg.eigvalsh(a), atol=1e-10)
             assert np.max(np.abs(a @ vecs - vecs * vals)) < 1e-10
 
-    def test_power_restarts_out_of_the_kernel(self):
+    def test_kernel_iterate_falls_to_jacobi(self):
         # the all-ones start vector is annihilated by m + cI here
         m = np.array([[0.0, -1.0], [-1.0, 0.0]])
-        pair = power_iteration(m)
-        assert pair is not None
-        assert pair.value == pytest.approx(1.0, abs=1e-9)
+        assert power_iteration(m) is None
+        pair = dominant_eigenpair(m)
+        assert pair.method == "jacobi"
+        assert pair.value == pytest.approx(1.0, abs=1e-12)
 
 
 class TestRayleigh:

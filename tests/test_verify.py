@@ -19,8 +19,10 @@ from blockspectra import (
     are_isomorphic,
     block_decomposition,
     clique_path,
+    graphs,
     parse_edge_list,
     path_graph,
+    transforms,
     verify,
 )
 from blockspectra.verify import (
@@ -266,6 +268,21 @@ class TestMoves:
     def test_small_cap_rejected(self):
         with pytest.raises(GraphError):
             run_check("L2.1", trials=5, seed=0, n=4)
+
+    @pytest.mark.parametrize("tid", ["L2.1", "L4.2"])
+    def test_one_decomposition_per_sampled_tree(self, monkeypatch, tid):
+        calls = []
+        real = graphs.block_decomposition
+
+        def counted(g):
+            calls.append(g)
+            return real(g)
+
+        for module in (graphs, transforms, verify):
+            monkeypatch.setattr(module, "block_decomposition", counted)
+        report = run_check(tid, trials=40, seed=0, n=8)
+        assert report.checked > 20
+        assert len(calls) == 40
 
 
 class TestTieBranches:
