@@ -4,8 +4,7 @@ blocks to cliques.
 These are the operations the extremal claims compare across; which clique to
 move where is chosen in the verify module, keeping the surgery itself
 reusable. end_cliques and move_clique take an optional decomp, the caller's
-block_decomposition of g, so that a caller who has decomposed g once reads
-its blocks and cut vertices from that one decomposition.
+block_decomposition of g, so that a caller decomposes each graph once.
 """
 
 from __future__ import annotations
@@ -37,9 +36,9 @@ def move_clique(g, K, v, w, decomp=None):
     to w instead; internal edges of K - {v} stay. The result is a clique tree
     with the same block-size multiset. w = v returns g unchanged.
 
-    Without decomp, g is decomposed here and must be a clique tree. A given
-    decomp must be block_decomposition(g) of a clique tree g; K, v and w are
-    checked against it either way.
+    Without decomp, g is decomposed here and must be a clique tree; a given
+    decomp is trusted to be that of a clique tree g. K, v and w are checked
+    against it either way.
     """
     if decomp is None:
         decomp = _clique_tree_blocks(g)
