@@ -224,7 +224,7 @@ def block_decomposition(g):
     frames = [(0, _bits(g.rows[0]))]
     blocks = []
     while frames:
-        u, nbrs = frames[-1]
+        v, nbrs = frames[-1]
         for w in nbrs:
             if disc[w] < 0:
                 disc[w] = low[w] = clock
@@ -232,17 +232,17 @@ def block_decomposition(g):
                 stack.append(w)
                 frames.append((w, _bits(g.rows[w])))
                 break
-            if disc[w] < low[u]:
-                low[u] = disc[w]
+            if disc[w] < low[v]:
+                low[v] = disc[w]
         else:
             frames.pop()
             if frames:
-                parent = frames[-1][0]
-                if low[u] < low[parent]:
-                    low[parent] = low[u]
-                if low[u] >= disc[parent]:
-                    block = [parent]
-                    while block[-1] != u:
+                u = frames[-1][0]
+                if low[v] < low[u]:
+                    low[u] = low[v]
+                if low[v] >= disc[u]:
+                    block = [u]
+                    while block[-1] != v:
                         block.append(stack.pop())
                     blocks.append(frozenset(block))
     if clock < n:
