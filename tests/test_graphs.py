@@ -7,6 +7,7 @@ search for isomorphism and automorphisms.
 """
 
 import collections
+import hashlib
 import itertools
 import math
 import random
@@ -455,6 +456,27 @@ class TestCanonicalForm:
         for g in classes:
             for _ in range(2):
                 assert canonical_form(relabelled(g, rng)) == canonical_form(g)
+
+    def test_forms_and_generators_are_pinned(self):
+        """canonical_form's exact values and the generators its search finds.
+
+        The clique-tree enumerator buckets by the signature, so any change to
+        either reorders its output and the report bytes, even when the new
+        value is still an isomorphism invariant.
+        """
+        rng = random.Random(11)
+        classes = [
+            *(g for n in range(1, 8) for g in enumerate_connected_graphs(n)),
+            *enumerate_trees(12),
+            *(g for s in range(1, 10) for g in enumerate_clique_trees(10, s)),
+        ]
+        pinned = [*classes, *(relabelled(g, rng) for g in classes), clique_star((3,) * 10, 3, 3)]
+        digest = hashlib.sha256()
+        for g in pinned:
+            digest.update(repr((canonical_form(g), graphs._automorphisms(g))).encode())
+        assert digest.hexdigest() == (
+            "5b334c13c3acd209fd84249f4c29e01c9fa6a5f4e82a2019c2c42a8833a6e3f1"
+        )
 
     def test_found_automorphisms_match_brute_force(self):
         """Vertex orbits and subset orbits, connected classes of order <= 6.
