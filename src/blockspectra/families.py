@@ -207,7 +207,10 @@ def _clique_tree_classes(n, s):
     out = []
     for sizes in _size_multisets(n + s - 1, s):
         # (signature, remaining sizes) -> {canonical form: first graph seen},
-        # grown one clique at a time; the nesting fixes the output order
+        # grown one clique at a time. The nesting fixes the output order, so
+        # the equivalence the signature induces fixes it too: a signature
+        # that is still an invariant but buckets these graphs differently
+        # reorders the clique trees and the report bytes
         level = {}
         for a in sorted(set(sizes)):
             k = complete_graph(a)

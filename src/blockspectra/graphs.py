@@ -4,7 +4,8 @@ Vertices are always labeled 0..n-1. Adjacency is stored as one Python int
 bitmask per vertex, which keeps complement, BFS, and block routines exact and
 cheap at the scales this package targets (n up to a few hundred). Isomorphism
 is decided by one mechanism, canonical_form: two graphs are isomorphic iff
-their forms are equal.
+their forms are equal. Its search refines ordered partitions whose cells are
+vertex bitmasks too, so a neighbour count in a cell is one AND and a popcount.
 """
 
 from __future__ import annotations
@@ -277,22 +278,44 @@ def _clique_tree_blocks(g):
     return decomp
 
 
-def _refine(nbrs, colors):
-    """Split colour classes by their neighbours' colours until none splits.
+def _refine(rows, cells, split):
+    """Refine an ordered partition of vertex bitmasks, which must refine the
+    degree partition, until it is equitable and no cell splits.
 
-    Each round keys a vertex by (colour, sorted neighbour colours) and
-    relabels the keys in sorted order, so the result depends only on the
-    structure and the input colours, never on vertex labels. A colouring
-    with n classes cannot split, so it ends the loop at once.
+    split lists the cells whose neighbour counts may still tell two vertices
+    of one cell apart; a count in any other cell is the same for the whole
+    cell or follows from counts in split cells before it. Each round keys
+    every vertex of a non-singleton cell by its negated counts in the split
+    cells and puts the cell's pieces in ascending key order. All pieces but
+    the last split the next round: a count in the last is the count in the
+    old cell less those in the others. Vertices of one cell have one degree,
+    so the key sorts as their sorted tuples of neighbour cell indices do:
+    each round gives the ordered partition that keying every vertex by
+    (cell, sorted neighbour cells) would, which depends only on the
+    structure and the input, never on vertex labels.
     """
-    classes = len(set(colors))
-    while True:
-        keys = [(c, tuple(sorted([colors[u] for u in nb]))) for c, nb in zip(colors, nbrs)]
-        relabel = {k: i for i, k in enumerate(sorted(set(keys)))}
-        colors = [relabel[k] for k in keys]
-        if len(relabel) == classes or len(relabel) == len(colors):
-            return colors
-        classes = len(relabel)
+    while split:
+        out, pieces = [], []
+        for cell in cells:
+            if not cell & cell - 1:
+                out.append(cell)
+                continue
+            by_key = {}
+            rest = cell
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                r = rows[low.bit_length() - 1]
+                key = tuple([-(r & s).bit_count() for s in split])
+                by_key[key] = by_key.get(key, 0) | low
+            if len(by_key) == 1:
+                out.append(cell)
+            else:
+                new = [by_key[k] for k in sorted(by_key)]
+                out += new
+                pieces += new[:-1]
+        cells, split = out, pieces
+    return cells
 
 
 def _twins(rows):
@@ -326,57 +349,69 @@ def _swaps(twin):
 def canonical_form(g):
     """Isomorphism-class key: equal for two graphs iff they are isomorphic.
 
-    The pair (signature, matrix). signature = (n, m, sorted refined colours)
-    is the colour-refinement invariant. matrix is the least relabelled
-    adjacency matrix, its rows read as one n*n-bit integer, over the leaves
-    of an individualisation-refinement search
-    (McKay & Piperno, J. Symb. Comput. 2014). At each node it takes the
-    first colour cell with the fewest twin classes, two at least,
-    individualises its vertices one at a time, refines, and recurses. A node
-    whose cells are each a single twin class has only automorphic leaves, so
-    it is one leaf: its vertices in colour order.
+    The pair (signature, matrix). signature = (n, m, sorted cell index of
+    each vertex) over the refined degree partition is the colour-refinement
+    invariant. matrix is the least relabelled adjacency matrix, its rows
+    read as one n*n-bit integer, over the leaves of an
+    individualisation-refinement search (McKay & Piperno, J. Symb. Comput.
+    2014) on ordered lists of cell bitmasks, refined by _refine. The root is
+    the degree cells in ascending degree. At each node the search takes the
+    first cell with the fewest twin classes, two at least, and for each of
+    its vertices v puts {v} before the rest of the cell, refines, and
+    recurses. A node whose cells are each a single twin class has only
+    automorphic leaves, so it is one leaf: its vertices in cell order, each
+    cell ascending, rows relabelled from the bitsets.
 
     The search collects generators of automorphisms as it goes: the twin
-    transpositions, and the map from the best leaf to any leaf with an equal
-    matrix. It skips a branch vertex in the orbit of an explored sibling
-    under the generators that fix the current path pointwise. That subtree
-    is an automorphic image of one already searched, with the same leaf
-    matrices, so the pruning never changes the form. The form is cached per
-    graph, and so are the leaf generators, for _automorphisms.
+    transpositions, built at the first orbit test, and the map from the best
+    leaf to any leaf with an equal matrix. It skips a branch vertex in the
+    orbit of an explored sibling under the generators that fix the current
+    path pointwise. That subtree is an automorphic image of one already
+    searched, with the same leaf matrices, so the pruning never changes the
+    form. The form and the leaf generators are cached per graph.
     """
     cached = g.__dict__.get("_canon")
     if cached is not None:
         return cached
-    n = g.n
-    nbrs = [tuple(_bits(r)) for r in g.rows]
-    degrees = [len(nb) for nb in nbrs]
-    colors = _refine(nbrs, degrees)
-    signature = (n, sum(degrees) // 2, tuple(sorted(colors)))
-    twin = _twins(g.rows)
-    gens = _swaps(twin)
-    swaps = len(gens)
+    n, rows = g.n, g.rows
+    by_degree = {}
+    for v, r in enumerate(rows):
+        d = r.bit_count()
+        by_degree[d] = by_degree.get(d, 0) | 1 << v
+    cells = [by_degree[d] for d in sorted(by_degree)]
+    # a count in the last degree cell is the degree less the counts in the others
+    cells = _refine(rows, cells, cells[:-1])
+    colors = [i for i, c in enumerate(cells) for _ in range(c.bit_count())]
+    signature = (n, sum(map(int.bit_count, rows)) // 2, tuple(colors))
+    twin = swaps = None
+    gens = []
     best = best_order = None
-    # one frame per open node: (path, colours, unexplored branch vertices,
-    # explored branch vertices)
+    # one frame per open node: (path, cells, index of the branch cell,
+    # unexplored branch vertices, explored branch vertices)
     frames = []
-    node = ((), colors)
+    node = ((), cells)
     while node is not None:
-        path, colors = node
-        cells = [[] for _ in range(max(colors) + 1)]
-        for v, c in enumerate(colors):
-            cells[c].append(v)
-        widths = [len({twin[v] for v in cell}) if cell[1:] else 1 for cell in cells]
-        width = min((w for w in widths if w > 1), default=0)
+        path, cells = node
+        width = 0
+        if len(cells) < n:
+            if twin is None:
+                twin = _twins(rows)
+            widths = [len({twin[v] for v in _bits(c)}) if c & c - 1 else 1 for c in cells]
+            width = min((w for w in widths if w > 1), default=0)
         if width:
-            frames.append((path, colors, iter(cells[widths.index(width)]), []))
+            i = widths.index(width)
+            frames.append((path, cells, i, _bits(cells[i]), []))
         else:
-            order = [v for cell in cells for v in cell]
-            bit = [0] * n
-            for i, v in enumerate(order):
-                bit[v] = 1 << i
+            order = [v for c in cells for v in _bits(c)]
+            bit = {1 << v: 1 << i for i, v in enumerate(order)}
             leaf = 0
             for v in order:
-                leaf = leaf << n | sum([bit[u] for u in nbrs[v]])
+                r, image = rows[v], 0
+                while r:
+                    low = r & -r
+                    r ^= low
+                    image |= bit[low]
+                leaf = leaf << n | image
             if best is None or leaf < best:
                 best, best_order = leaf, order
             elif leaf == best:
@@ -386,19 +421,24 @@ def canonical_form(g):
                 gens.append(tuple(perm))
         node = None
         while frames and node is None:
-            path, colors, todo, explored = frames[-1]
+            path, cells, i, todo, explored = frames[-1]
             v = next(todo, None)
             if v is None:
                 frames.pop()
-            elif not explored or v not in _orbit(
-                explored, [p for p in gens if all(p[u] == u for u in path)]
-            ):
-                explored.append(v)
-                node = (path + (v,), _refine(nbrs, [2 * c + (u != v) for u, c in enumerate(colors)]))
+                continue
+            if explored:
+                swaps = swaps if swaps is not None else _swaps(twin)
+                if v in _orbit(explored, [p for p in swaps + gens if all(p[u] == u for u in path)]):
+                    continue
+            explored.append(v)
+            # the parent is equitable; a count in the rest of the cell is
+            # the count in the cell less the one in {v}
+            pair = [1 << v, cells[i] ^ 1 << v]
+            node = (path + (v,), _refine(rows, cells[:i] + pair + cells[i + 1:], pair[:1]))
     result = (signature, best)
     g.__dict__["_canon"] = result
-    if len(gens) > swaps:
-        g.__dict__["_leaf_auts"] = tuple(gens[swaps:])
+    if gens:
+        g.__dict__["_leaf_auts"] = tuple(gens)
     return result
 
 

@@ -2,8 +2,9 @@
 
 Oracles used here are independent of the implementation under test:
 Floyd-Warshall and a queue BFS for distances, delete-and-probe for cut
-vertices, a search over every vertex subset for blocks, and full permutation
-search for isomorphism and automorphisms.
+vertices, a search over every vertex subset for blocks, full permutation
+search for isomorphism and automorphisms, and colour refinement by sorted
+neighbour-colour tuples for the bitset cell refinement.
 """
 
 import collections
@@ -79,6 +80,28 @@ def brute_automorphisms(g):
         for p in itertools.permutations(range(g.n))
         if all(frozenset((p[u], p[v])) in edges for u, v in g.edges)
     ]
+
+
+def tuple_refine(nbrs, colors):
+    """Colour refinement by tuple keys: each round keys a vertex by (colour,
+    sorted neighbour colours) and relabels the keys in sorted order, until a
+    round splits nothing. Returns the colour ranks."""
+    classes = len(set(colors))
+    while True:
+        keys = [(c, tuple(sorted([colors[u] for u in nb]))) for c, nb in zip(colors, nbrs)]
+        relabel = {k: i for i, k in enumerate(sorted(set(keys)))}
+        colors = [relabel[k] for k in keys]
+        if len(relabel) == classes or len(relabel) == len(colors):
+            return colors
+        classes = len(relabel)
+
+
+def as_cells(colors):
+    """The ordered partition of colour ranks, as vertex bitmasks."""
+    cells = [0] * (max(colors) + 1)
+    for v, c in enumerate(colors):
+        cells[c] |= 1 << v
+    return cells
 
 
 def brute_isomorphic(g, h):
@@ -477,6 +500,29 @@ class TestCanonicalForm:
         assert digest.hexdigest() == (
             "5b334c13c3acd209fd84249f4c29e01c9fa6a5f4e82a2019c2c42a8833a6e3f1"
         )
+
+    def test_refinement_matches_the_tuple_key_oracle(self):
+        """The same ordered partition from the degree partition and from
+        every single-vertex individualisation of its refinement, the two ways
+        the search calls _refine."""
+        rng = random.Random(29)
+        branches = 0
+        for _ in range(500):
+            g = random_graph(rng, rng.randint(1, 12), rng.uniform(0.05, 0.95))
+            nbrs = [g.neighbors(v) for v in range(g.n)]
+            ranks = sorted(set(g.degrees))
+            cells = as_cells([ranks.index(d) for d in g.degrees])
+            cells = graphs._refine(g.rows, cells, cells[:-1])
+            colors = tuple_refine(nbrs, list(g.degrees))
+            assert cells == as_cells(colors), format_edge_list(g)
+            for i, cell in enumerate(cells):
+                for v in graphs._bits(cell) if cell & cell - 1 else ():
+                    pair = [1 << v, cell ^ 1 << v]
+                    got = graphs._refine(g.rows, cells[:i] + pair + cells[i + 1:], pair[:1])
+                    want = tuple_refine(nbrs, [2 * c + (u != v) for u, c in enumerate(colors)])
+                    assert got == as_cells(want), (format_edge_list(g), v)
+                    branches += 1
+        assert branches > 1000
 
     def test_found_automorphisms_match_brute_force(self):
         """Vertex orbits and subset orbits, connected classes of order <= 6.
