@@ -516,7 +516,9 @@ class TestCanonicalForm:
             colors = tuple_refine(nbrs, list(g.degrees))
             assert cells == as_cells(colors), format_edge_list(g)
             for i, cell in enumerate(cells):
-                for v in graphs._bits(cell) if cell & cell - 1 else ():
+                if not cell & cell - 1:
+                    continue
+                for v in graphs._bits(cell):
                     pair = [1 << v, cell ^ 1 << v]
                     got = graphs._refine(g.rows, cells[:i] + pair + cells[i + 1:], pair[:1])
                     want = tuple_refine(nbrs, [2 * c + (u != v) for u, c in enumerate(colors)])
