@@ -18,7 +18,15 @@ import itertools
 import random
 from functools import lru_cache
 
-from .graphs import Graph, GraphError, _automorphisms, _bits, _graph_from_pairs, canonical_form
+from .graphs import (
+    MAX_ORDER,
+    Graph,
+    GraphError,
+    _automorphisms,
+    _bits,
+    canonical_form,
+    from_edge_list,
+)
 
 __all__ = [
     "clique_path",
@@ -40,6 +48,8 @@ def _glue_clique(g, v, size):
     if size < 2:
         raise GraphError(f"clique size must be >= 2, got {size}")
     n2 = g.n + size - 1
+    if n2 > MAX_ORDER:
+        raise GraphError(f"clique tree would have n={n2}, above the limit of {MAX_ORDER}")
     rows = list(g.rows) + [0] * (size - 1)
     verts = [v] + list(range(g.n, n2))
     for a, b in itertools.combinations(verts, 2):
@@ -71,27 +81,29 @@ def clique_star(end_sizes, bridge_size, last_size):
     return _glue_clique(g, 1, int(last_size))
 
 
-def path_graph(n):
+def _order(n, least, family):
+    """n as an int, rejected outside least..MAX_ORDER before anything is built."""
     n = int(n)
-    if n < 1:
-        raise GraphError(f"path needs n >= 1, got {n}")
-    return _graph_from_pairs(n, [(i, i + 1) for i in range(n - 1)])
+    if not least <= n <= MAX_ORDER:
+        raise GraphError(f"{family} needs {least} <= n <= {MAX_ORDER}, got {n}")
+    return n
+
+
+def path_graph(n):
+    n = _order(n, 1, "path")
+    return from_edge_list(n, [(i, i + 1) for i in range(n - 1)])
 
 
 def complete_graph(n):
-    n = int(n)
-    if n < 1:
-        raise GraphError(f"complete graph needs n >= 1, got {n}")
-    return _graph_from_pairs(n, itertools.combinations(range(n), 2))
+    n = _order(n, 1, "complete graph")
+    full = (1 << n) - 1
+    return Graph(n, [full ^ 1 << v for v in range(n)])
 
 
 def broom(n):
     """T(n-3,1): the path 0-1-2 with n-3 pendant vertices attached at 0."""
-    n = int(n)
-    if n < 4:
-        raise GraphError(f"broom needs n >= 4, got {n}")
-    pairs = [(0, 1), (1, 2)] + [(0, v) for v in range(3, n)]
-    return _graph_from_pairs(n, pairs)
+    n = _order(n, 4, "broom")
+    return from_edge_list(n, [(0, 1), (1, 2)] + [(0, v) for v in range(3, n)])
 
 
 def _attach_vertex(g, mask):

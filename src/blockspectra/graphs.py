@@ -26,7 +26,6 @@ __all__ = [
     "diameter",
     "is_connected",
     "block_decomposition",
-    "is_clique_tree",
     "canonical_form",
     "are_isomorphic",
     "parse_edge_list",
@@ -62,7 +61,7 @@ class Graph:
         n = int(n)
         if n < 1:
             raise GraphError(f"graph needs at least one vertex, got n={n}")
-        rows = tuple(int(r) for r in rows)
+        rows = tuple(rows)
         if len(rows) != n:
             raise GraphError(f"expected {n} adjacency rows, got {len(rows)}")
         self.n = n
@@ -73,10 +72,6 @@ class Graph:
         return sum(r.bit_count() for r in self.rows) // 2
 
     @cached_property
-    def degrees(self):
-        return tuple(r.bit_count() for r in self.rows)
-
-    @cached_property
     def edges(self):
         out = []
         for u in range(self.n):
@@ -84,15 +79,6 @@ class Graph:
             for off in _bits(higher):
                 out.append((u, u + 1 + off))
         return tuple(out)
-
-    def degree(self, v):
-        return self.rows[v].bit_count()
-
-    def neighbors(self, v):
-        return tuple(_bits(self.rows[v]))
-
-    def has_edge(self, u, v):
-        return bool((self.rows[u] >> v) & 1)
 
     def __eq__(self, other):
         return isinstance(other, Graph) and self.n == other.n and self.rows == other.rows
@@ -102,15 +88,6 @@ class Graph:
 
     def __repr__(self):
         return f"Graph(n={self.n}, edges={list(self.edges)})"
-
-
-def _graph_from_pairs(n, pairs):
-    """Build a Graph from trusted (u, v) pairs without validation."""
-    rows = [0] * n
-    for u, v in pairs:
-        rows[u] |= 1 << v
-        rows[v] |= 1 << u
-    return Graph(n, rows)
 
 
 def from_edge_list(n, edges):
@@ -199,11 +176,10 @@ def is_connected(g):
 
 @dataclass(frozen=True)
 class BlockDecomposition:
-    """Blocks (as vertex sets), cut vertices, and the block count s."""
+    """Blocks (as vertex sets) and cut vertices."""
 
     blocks: tuple
     cut_vertices: frozenset
-    s: int
 
 
 def block_decomposition(g):
@@ -253,29 +229,7 @@ def block_decomposition(g):
     for block in blocks:
         cuts |= seen & block
         seen |= block
-    return BlockDecomposition(tuple(blocks), frozenset(cuts), len(blocks))
-
-
-def is_clique_tree(g):
-    """True iff g is connected and every block induces a complete subgraph."""
-    return _clique_tree_blocks(g) is not None
-
-
-def _clique_tree_blocks(g):
-    """The block decomposition of g if g is a clique tree, else None."""
-    try:
-        decomp = block_decomposition(g)
-    except GraphError:
-        return None
-    for block in decomp.blocks:
-        bmask = 0
-        for v in block:
-            bmask |= 1 << v
-        for v in block:
-            need = bmask ^ (1 << v)
-            if g.rows[v] & need != need:
-                return None
-    return decomp
+    return BlockDecomposition(tuple(blocks), frozenset(cuts))
 
 
 def _refine(rows, cells, split):

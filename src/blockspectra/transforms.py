@@ -3,24 +3,22 @@ blocks to cliques.
 
 These are the operations the extremal claims compare across; which clique to
 move where is chosen in the verify module, keeping the surgery itself
-reusable. end_cliques and move_clique take an optional decomp, the caller's
+reusable. end_cliques and move_clique take decomp, the caller's
 block_decomposition of g, so that a caller decomposes each graph once.
 """
 
 from __future__ import annotations
 
-from .graphs import Graph, GraphError, _clique_tree_blocks, block_decomposition
+from .graphs import Graph, GraphError, block_decomposition
 
 __all__ = ["end_cliques", "move_clique", "complete_blocks"]
 
 
-def end_cliques(g, decomp=None):
+def end_cliques(g, decomp):
     """All (block, end cut vertex) pairs: blocks containing exactly one cut vertex.
 
     A single-block graph has no cut vertices and therefore no end cliques.
     """
-    if decomp is None:
-        decomp = block_decomposition(g)
     out = []
     for block in decomp.blocks:
         cuts_in_block = [v for v in sorted(block) if v in decomp.cut_vertices]
@@ -29,21 +27,16 @@ def end_cliques(g, decomp=None):
     return out
 
 
-def move_clique(g, K, v, w, decomp=None):
+def move_clique(g, K, v, w, decomp):
     """Detach the end clique K from its cut vertex v and reattach it at w.
 
     Removes every edge from v into K - {v} and joins each vertex of K - {v}
     to w instead; internal edges of K - {v} stay. The result is a clique tree
-    with the same block-size multiset. w = v returns g unchanged.
+    with the same block-size multiset. w = v returns g itself.
 
-    Without decomp, g is decomposed here and must be a clique tree; a given
-    decomp is trusted to be that of a clique tree g. K, v and w are checked
-    against it either way.
+    decomp is trusted to be the block decomposition of a clique tree g; K, v
+    and w are checked against it.
     """
-    if decomp is None:
-        decomp = _clique_tree_blocks(g)
-        if decomp is None:
-            raise GraphError("move_clique requires a clique tree")
     K = frozenset(K)
     if K not in decomp.blocks:
         raise GraphError(f"{sorted(K)} is not a block of the graph")

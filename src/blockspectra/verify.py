@@ -20,6 +20,7 @@ import inspect
 import itertools
 import json
 import multiprocessing
+import os
 import random
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -44,7 +45,7 @@ from .graphs import GraphError, are_isomorphic, block_decomposition, diameter, f
 from .spectral import DEFAULT_TOL, adjacency_matrix, complement_distance_matrix, spectral_radii
 from .transforms import complete_blocks, end_cliques, move_clique
 
-__all__ = ["EPS", "TheoremReport", "THEOREMS", "ALIASES", "run_check"]
+__all__ = ["EPS", "TheoremReport", "ALIASES", "run_check"]
 
 # Comparison margin for all theorem inequalities, two orders above the
 # eigensolver residual tolerance so solver noise can never masquerade as a
@@ -229,7 +230,7 @@ def _clique_move(spec, p, kind, toward_smaller_entry):
         for w in sorted(decomp.cut_vertices):
             big, small = (v, w) if toward_smaller_entry else (w, v)
             if (w == v or w not in K) and x[big] >= x[small] - ENTRY_SLACK:
-                moves.append(("move", (g if w == v else move_clique(g, K, v, w, decomp),)))
+                moves.append(("move", (move_clique(g, K, v, w, decomp),)))
     return (yield from _versus(g, kind, moves))
 
 
@@ -531,8 +532,6 @@ CLAIMS = {
     ),
 }
 
-THEOREMS = {tid: claim.text for tid, claim in CLAIMS.items()}
-
 
 def _run_rounds(tid, p, items):
     """Run the claim's step on each item, all steps in lockstep rounds.
@@ -578,8 +577,10 @@ def _run_rounds(tid, p, items):
 
 
 def _run_family(tid, p, items, jobs):
-    """_run_rounds over `jobs` contiguous chunks of the items, in item order."""
+    """_run_rounds over `jobs` contiguous chunks of the items, in item order,
+    with no more chunks, and worker processes, than there are CPUs."""
     items = list(items)
+    jobs = min(jobs, os.cpu_count() or 1)
     if jobs == 1 or len(items) < 2:
         return _run_rounds(tid, p, items)
     size = -(-len(items) // jobs)

@@ -1,11 +1,15 @@
-"""Shared launch recipe for the tests that run `blockspectra` in a real process.
+"""Shared test helpers.
 
-The child is started as `python -m blockspectra` with the directory holding the
-imported package first on PYTHONPATH, so it runs the same source tree as the
-test process: from a source checkout with `PYTHONPATH=src`, from any working
-directory, and with or without the package installed.
+The launch recipe for the tests that run `blockspectra` in a real process:
+the child is started as `python -m blockspectra` with the directory holding
+the imported package first on PYTHONPATH, so it runs the same source tree as
+the test process: from a source checkout with `PYTHONPATH=src`, from any
+working directory, and with or without the package installed.
+
+Graph predicates that only tests need, read from the edge list.
 """
 
+import itertools
 import os
 import subprocess
 import sys
@@ -13,6 +17,27 @@ from pathlib import Path
 from typing import NamedTuple
 
 import pytest
+
+from blockspectra import GraphError, block_decomposition
+
+
+def neighbours(g):
+    """Ascending neighbour list of every vertex."""
+    adj = [[] for _ in range(g.n)]
+    for u, v in g.edges:
+        adj[u].append(v)
+        adj[v].append(u)
+    return adj
+
+
+def is_clique_tree(g):
+    """True iff g is connected and every block induces a complete subgraph."""
+    try:
+        blocks = block_decomposition(g).blocks
+    except GraphError:
+        return False
+    edges = set(g.edges)
+    return all(e in edges for b in blocks for e in itertools.combinations(sorted(b), 2))
 
 
 class ModuleLaunch(NamedTuple):

@@ -18,6 +18,7 @@ import math
 import time
 
 import pytest
+from conftest import is_clique_tree
 
 from blockspectra import (
     adjacency_matrix,
@@ -31,7 +32,6 @@ from blockspectra import (
     enumerate_connected_graphs,
     enumerate_trees,
     from_edge_list,
-    is_clique_tree,
     path_graph,
 )
 from blockspectra.verify import run_check
@@ -275,7 +275,7 @@ def test_criterion_8_enumeration_oracles():
         by_s = {}
         for g in enumerate_connected_graphs(n):
             if is_clique_tree(g):
-                by_s.setdefault(block_decomposition(g).s, []).append(g)
+                by_s.setdefault(len(block_decomposition(g).blocks), []).append(g)
         for s in range(1, n):
             ours = list(enumerate_clique_trees(n, s))
             ref = by_s.get(s, [])

@@ -265,6 +265,12 @@ class TestEnumerate:
         ["enumerate", "cliquetrees", "--n", "-5"],
         ["verify", "L2.1", "--n", "100000", "--trials", "1"],
         ["verify", "L4.2", "--n", "13"],
+        ["gen", "complete:100000"],
+        ["gen", "path:100000000"],
+        ["gen", "broom:100000000"],
+        ["gen", "cliquepath:100000"],
+        ["gen", "cliquepath:200000,-199000"],
+        ["gen", "cliquestar:2;2;100000"],
     ],
 )
 def test_bad_parameter_is_a_one_line_error(capsys, monkeypatch, argv):

@@ -18,11 +18,11 @@ from pathlib import Path
 
 import pytest
 
-from blockspectra.verify import THEOREMS, run_check
+from blockspectra.verify import CLAIMS, run_check
 
 GOLDEN = Path(__file__).with_name("golden_reports.json")
 
-CASES = {tid: {} for tid in sorted(THEOREMS)}
+CASES = {tid: {} for tid in sorted(CLAIMS)}
 CASES.update(
     {
         "T4.4": {},
@@ -49,7 +49,7 @@ def digests(case):
 
 
 def test_cases_cover_every_claim():
-    assert set(THEOREMS) <= set(CASES)
+    assert set(CLAIMS) <= set(CASES)
     assert set(json.loads(GOLDEN.read_text())) == set(CASES)
 
 

@@ -1,6 +1,9 @@
-"""The package namespace re-exports exactly the layer modules' public names."""
+"""The package namespace re-exports exactly the layer modules' public names,
+and each of them is used by the package itself."""
 
+import ast
 import importlib
+from pathlib import Path
 
 import blockspectra
 
@@ -14,3 +17,16 @@ def test_all_is_the_union_of_the_layer_lists():
     assert set(names) == {name for layer in layers for name in layer} | {"__version__"}
     for name in names:
         assert getattr(blockspectra, name) is not None, name
+
+
+def test_no_public_name_is_test_only():
+    """Every public name is read somewhere in the package, not only defined
+    and listed in __all__: what only tests use belongs to the tests."""
+    read = set()
+    for path in Path(blockspectra.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    assert sorted(set(blockspectra.__all__) - read - {"__version__"}) == []

@@ -213,7 +213,7 @@ class TestComplementDistance:
             for v in range(5):
                 if u == v:
                     assert dc[u, v] == 0
-                elif g.has_edge(u, v):
+                elif g.rows[u] >> v & 1:
                     assert dc[u, v] == 2
                 else:
                     assert dc[u, v] == 1

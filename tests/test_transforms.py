@@ -3,6 +3,7 @@
 import itertools
 
 import pytest
+from conftest import is_clique_tree
 
 from blockspectra import (
     GraphError,
@@ -15,7 +16,6 @@ from blockspectra import (
     diameter,
     end_cliques,
     from_edge_list,
-    is_clique_tree,
     move_clique,
     path_graph,
     random_clique_tree,
@@ -32,16 +32,23 @@ def block_sizes(g):
     return sorted(len(b) for b in block_decomposition(g).blocks)
 
 
+def move(g, K, v, w):
+    return move_clique(g, K, v, w, block_decomposition(g))
+
+
 class TestEndCliques:
     def test_path(self):
-        out = end_cliques(path_graph(5))
+        g = path_graph(5)
+        out = end_cliques(g, block_decomposition(g))
         assert sorted((sorted(k), v) for k, v in out) == [([0, 1], 1), ([3, 4], 3)]
 
     def test_single_block(self):
-        assert end_cliques(complete_graph(4)) == []
+        g = complete_graph(4)
+        assert end_cliques(g, block_decomposition(g)) == []
 
     def test_star(self):
-        out = end_cliques(from_edge_list(4, [(0, 1), (0, 2), (0, 3)]))
+        g = from_edge_list(4, [(0, 1), (0, 2), (0, 3)])
+        out = end_cliques(g, block_decomposition(g))
         assert len(out) == 3
         assert all(v == 0 for _, v in out)
 
@@ -49,17 +56,17 @@ class TestEndCliques:
 class TestMoveClique:
     def test_path_golden(self):
         g = path_graph(5)
-        h = move_clique(g, {3, 4}, 3, 1)
+        h = move(g, {3, 4}, 3, 1)
         assert set(h.edges) == {(0, 1), (1, 2), (2, 3), (1, 4)}
 
     def test_identity_when_w_equals_v(self):
         g = path_graph(5)
-        assert move_clique(g, {3, 4}, 3, 3).edges == g.edges
+        assert move(g, {3, 4}, 3, 3) is g
 
     def test_bowtie_with_pendant_becomes_single_cut(self):
         g = from_edge_list(6, [(0, 1), (0, 2), (1, 2), (2, 3), (2, 4), (3, 4), (0, 5)])
         assert sorted(block_decomposition(g).cut_vertices) == [0, 2]
-        h = move_clique(g, {2, 3, 4}, 2, 0)
+        h = move(g, {2, 3, 4}, 2, 0)
         d = block_decomposition(h)
         assert sorted(d.cut_vertices) == [0]
         assert block_sizes(h) == [2, 3, 3]
@@ -75,7 +82,7 @@ class TestMoveClique:
                 for w in sorted(d.cut_vertices):
                     if w in K and w != v:
                         continue
-                    h = move_clique(g, K, v, w)
+                    h = move_clique(g, K, v, w, d)
                     assert h.n == g.n
                     assert is_clique_tree(h)
                     assert block_sizes(h) == block_sizes(g)
@@ -85,18 +92,15 @@ class TestMoveClique:
     def test_rejections(self):
         g = path_graph(5)
         with pytest.raises(GraphError):
-            move_clique(g, {0, 2}, 0, 1)  # not a block
+            move(g, {0, 2}, 0, 1)  # not a block
         with pytest.raises(GraphError):
-            move_clique(g, {1, 2}, 1, 3)  # interior block, two cut vertices
+            move(g, {1, 2}, 1, 3)  # interior block, two cut vertices
         with pytest.raises(GraphError):
-            move_clique(g, {0, 1}, 0, 3)  # v is not the end cut vertex
+            move(g, {0, 1}, 0, 3)  # v is not the end cut vertex
         with pytest.raises(GraphError):
-            move_clique(g, {0, 1}, 1, 4)  # w is not a cut vertex
+            move(g, {0, 1}, 1, 4)  # w is not a cut vertex
         with pytest.raises(GraphError):
-            move_clique(cycle_graph(4), {0, 1}, 0, 2)  # not a clique tree
-        disconnected = from_edge_list(6, [(0, 1), (1, 2), (3, 4), (4, 5)])
-        with pytest.raises(GraphError, match="requires a clique tree"):
-            move_clique(disconnected, {0, 1}, 1, 2)
+            move(cycle_graph(4), {0, 1}, 0, 2)  # the cycle is one block
 
     def test_decomposes_once(self, monkeypatch):
         calls = []
@@ -109,7 +113,7 @@ class TestMoveClique:
         for module in (graphs, transforms):
             monkeypatch.setattr(module, "block_decomposition", counted)
         g = clique_path((3, 2, 2, 3))
-        move_clique(g, {0, 1, 2}, 2, 4)
+        move_clique(g, {0, 1, 2}, 2, 4, graphs.block_decomposition(g))
         assert len(calls) == 1
 
 

@@ -29,7 +29,6 @@ from blockspectra.verify import (
     ALIASES,
     CLAIMS,
     EPS,
-    THEOREMS,
     TheoremReport,
     _comparators,
     run_check,
@@ -73,11 +72,8 @@ class TestDispatch:
                 assert report.passed, (tid, report.violations)
 
     def test_ids_cover_registry(self):
-        assert set(SMOKE_PARAMS) == set(THEOREMS)
-
-    def test_theorems_is_the_registry_text(self):
-        assert THEOREMS == {tid: claim.text for tid, claim in CLAIMS.items()}
-        assert "all connected graphs" in THEOREMS["L3.1"]
+        assert set(SMOKE_PARAMS) == set(CLAIMS)
+        assert "all connected graphs" in CLAIMS["L3.1"].text
 
     def test_alias(self):
         report = run_check("T4.4", n=5)
@@ -87,6 +83,29 @@ class TestDispatch:
     def test_unknown_id(self):
         with pytest.raises(GraphError, match="known ids"):
             run_check("X9.9")
+
+    def test_jobs_are_capped_at_the_cpu_count(self, monkeypatch):
+        """The pool records its size and runs the chunks in this process."""
+        sizes = []
+
+        class Pool:
+            def __init__(self, max_workers, mp_context):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, chunks):
+                return map(fn, chunks)
+
+        monkeypatch.setattr(verify, "ProcessPoolExecutor", Pool)
+        monkeypatch.setattr(verify.os, "cpu_count", lambda: 3)
+        report = run_check("T2.4", n=6, jobs=100000)
+        assert sizes == [3]
+        assert report.to_csv() == run_check("T2.4", n=6).to_csv()
 
 
 class TestVacuity:
