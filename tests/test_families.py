@@ -290,6 +290,12 @@ class TestEnumerationOrder:
             "c1e4bf9c46567b7d17937abd3b4a2cecaed9e450cf564898d150f241e9730e88"
         )
 
+    def test_clique_trees_every_order_and_s(self):
+        graphs = (g for n in range(1, 12) for g in enumerate_clique_trees(n))
+        assert self.digest(graphs) == (
+            "d50137222fb007f024179cd2b4ea1fb186738cc213b918f1487421a03cff71da"
+        )
+
 
 class TestConstructorLabels:
     """Witness strings and the order of clique moves follow the constructors'

@@ -48,6 +48,52 @@ def random_connected(rng, n):
             return g
 
 
+def copy_assign_jacobi(m):
+    """jacobi_eigh with its rotation written as separate copy-and-assign steps
+    for the columns of a, the rows of a and the columns of v; a bit-for-bit
+    reference for the library's single rotation loop."""
+    a = np.asarray(m, dtype=float).copy()
+    n = a.shape[0]
+    v = np.eye(n)
+    if n == 1:
+        return a.diagonal().copy(), v
+    scale = max(1.0, float(np.abs(a).max()))
+    stop = 1e-14 * scale * n
+    skip = stop / (2 * n)
+    iu = np.triu_indices(n, 1)
+    for _ in range(30):
+        off = math.sqrt(2.0 * float((a[iu] ** 2).sum()))
+        if off <= stop:
+            break
+        for p in range(n - 1):
+            for q in range(p + 1, n):
+                apq = a[p, q]
+                if abs(apq) <= skip:
+                    continue
+                tau = (a[q, q] - a[p, p]) / (2.0 * apq)
+                if tau >= 0:
+                    t = 1.0 / (tau + math.sqrt(1.0 + tau * tau))
+                else:
+                    t = -1.0 / (-tau + math.sqrt(1.0 + tau * tau))
+                cth = 1.0 / math.sqrt(1.0 + t * t)
+                sth = t * cth
+                col_p = a[:, p].copy()
+                col_q = a[:, q].copy()
+                a[:, p] = cth * col_p - sth * col_q
+                a[:, q] = sth * col_p + cth * col_q
+                row_p = a[p, :].copy()
+                row_q = a[q, :].copy()
+                a[p, :] = cth * row_p - sth * row_q
+                a[q, :] = sth * row_p + cth * row_q
+                a[p, q] = 0.0
+                a[q, p] = 0.0
+                vec_p = v[:, p].copy()
+                vec_q = v[:, q].copy()
+                v[:, p] = cth * vec_p - sth * vec_q
+                v[:, q] = sth * vec_p + cth * vec_q
+    return np.diagonal(a).copy(), v
+
+
 def star_graph(n):
     return from_edge_list(n, [(0, i) for i in range(1, n)])
 
@@ -161,6 +207,25 @@ class TestSolverRoutes:
             vals, vecs = jacobi_eigh(a)
             assert np.allclose(np.sort(vals), np.linalg.eigvalsh(a), atol=1e-10)
             assert np.max(np.abs(a @ vecs - vecs * vals)) < 1e-10
+
+    def test_jacobi_keeps_the_bits_of_the_copy_and_assign_loop(self):
+        rng = np.random.default_rng(21)
+        mats = [np.zeros((n, n)) for n in range(1, 6)]
+        for _ in range(40):
+            n = int(rng.integers(1, 13))
+            b = rng.integers(-4, 5, size=(n, n)).astype(float)
+            mats.append(b + b.T)
+        for _ in range(40):
+            n = int(rng.integers(1, 13))
+            b = rng.standard_normal((n, n))
+            mats.append(b + b.T)
+        # P_120 is the large matrix the benchmark solves by Jacobi
+        mats.append(adjacency_matrix(path_graph(120)))
+        for m in mats:
+            vals, vecs = jacobi_eigh(m)
+            ref_vals, ref_vecs = copy_assign_jacobi(m)
+            assert vals.tobytes() == ref_vals.tobytes()
+            assert vecs.tobytes() == ref_vecs.tobytes()
 
     def test_kernel_iterate_falls_to_jacobi(self):
         # the all-ones start vector is annihilated by m + cI here
