@@ -2,19 +2,19 @@
 
 A clique tree here is a connected graph whose blocks are all complete
 (standard "block graph"); the clique path and clique star are its extremal
-shapes. Every clique tree, constructed, random or enumerated, is grown by
-gluing one clique at a time at a single vertex (_glue_clique).
-Enumerators yield exactly one representative per isomorphism class,
-the first candidate seen with each canonical form, in a fixed order. They
-grow each smaller class only at the least vertex, or vertex set, of each
-orbit of its automorphisms (_least_masks); a skipped candidate is isomorphic
-to one grown before it from the same class, so it was never first seen, and
+shapes. Every clique tree, constructed, random or enumerated, grows one
+clique at a time glued at a single vertex, and a tree or connected graph
+one vertex at a time, by one step (_join). Enumerators yield exactly one
+representative per isomorphism class, the first candidate seen with each
+canonical form, in a fixed order, from one dedup pass (_grow). They grow
+each smaller class only at the least vertex, or vertex set, of each orbit
+of its automorphisms (_least_masks); a skipped candidate is isomorphic to
+one grown before it from the same class, so it was never first seen, and
 the output order and representatives are those of the unpruned growth.
 """
 
 from __future__ import annotations
 
-import itertools
 import random
 from functools import lru_cache
 
@@ -42,20 +42,26 @@ __all__ = [
 ]
 
 
+def _join(g, mask, k):
+    """g with k new vertices, numbered g.n onward, adjacent to each other and
+    to every vertex in the bitmask mask."""
+    n2 = g.n + k
+    if n2 > MAX_ORDER:
+        raise GraphError(f"clique tree would have n={n2}, above the limit of {MAX_ORDER}")
+    new = (1 << n2) - (1 << g.n)
+    rows = list(g.rows)
+    for v in _bits(mask):
+        rows[v] |= new
+    rows += [mask | new ^ 1 << u for u in range(g.n, n2)]
+    return Graph(n2, rows)
+
+
 def _glue_clique(g, v, size):
     """g with a new clique of the given size sharing only vertex v with g;
     its other vertices are numbered g.n onward."""
     if size < 2:
         raise GraphError(f"clique size must be >= 2, got {size}")
-    n2 = g.n + size - 1
-    if n2 > MAX_ORDER:
-        raise GraphError(f"clique tree would have n={n2}, above the limit of {MAX_ORDER}")
-    rows = list(g.rows) + [0] * (size - 1)
-    verts = [v] + list(range(g.n, n2))
-    for a, b in itertools.combinations(verts, 2):
-        rows[a] |= 1 << b
-        rows[b] |= 1 << a
-    return Graph(n2, rows)
+    return _join(g, 1 << v, size - 1)
 
 
 def clique_path(sizes):
@@ -106,14 +112,6 @@ def broom(n):
     return from_edge_list(n, [(0, 1), (1, 2)] + [(0, v) for v in range(3, n)])
 
 
-def _attach_vertex(g, mask):
-    rows = list(g.rows) + [mask]
-    for v in range(g.n):
-        if (mask >> v) & 1:
-            rows[v] |= 1 << g.n
-    return Graph(g.n + 1, rows)
-
-
 def _least_masks(g, masks):
     """The vertex-set bitmasks, ascending, that are least in their orbit
     under the automorphisms of g; masks must be ascending and closed under
@@ -138,59 +136,53 @@ def _least_masks(g, masks):
                     orbit.append(image)
 
 
-def _new_classes(candidates):
-    """The candidates whose isomorphism class was not seen before, in order."""
-    seen = set()
-    for g in candidates:
-        form = canonical_form(g)
-        if form not in seen:
-            seen.add(form)
-            yield g
+def _grow(level, children, group):
+    """One growth step. children(tag, g) yields the (tag, graph) children of
+    each (tag, g) in level; the first child seen of each canonical form is
+    kept, grouped by group(form, tag). Returns the kept pairs group by group,
+    groups and members in first-seen order."""
+    groups = {}
+    for tag, g in level:
+        for child_tag, h in children(tag, g):
+            form = canonical_form(h)
+            groups.setdefault(group(form, child_tag), {}).setdefault(form, (child_tag, h))
+    return [pair for classes in groups.values() for pair in classes.values()]
 
 
 @lru_cache(maxsize=None)
-def _tree_classes(n):
-    if n < 1:
-        raise GraphError(f"tree enumeration needs n >= 1, got {n}")
-    if n > 12:
-        raise GraphError(f"tree enumeration capped at n = 12, got {n}")
+def _grown_classes(n, connected):
+    """The trees, or with connected the connected graphs, on n vertices. Each
+    is a smaller one with a vertex joined to one vertex, or for a connected
+    graph to the neighbours of its last non-cut vertex."""
     if n == 1:
         return (Graph(1, (0,)),)
-    return tuple(
-        _new_classes(
-            _attach_vertex(t, mask)
-            for t in _tree_classes(n - 1)
-            for mask in _least_masks(t, [1 << v for v in range(t.n)])
-        )
-    )
+
+    def children(_, g):
+        masks = range(1, 1 << g.n) if connected else [1 << v for v in range(g.n)]
+        return ((None, _join(g, mask, 1)) for mask in _least_masks(g, masks))
+
+    level = [(None, g) for g in _grown_classes(n - 1, connected)]
+    return tuple(g for _, g in _grow(level, children, lambda form, tag: None))
 
 
 def enumerate_trees(n):
     """One representative per isomorphism class of trees on n vertices."""
-    yield from _tree_classes(int(n))
-
-
-@lru_cache(maxsize=None)
-def _connected_classes(n):
+    n = int(n)
     if n < 1:
-        raise GraphError(f"connected enumeration needs n >= 1, got {n}")
-    if n > 7:
-        raise GraphError(f"connected-graph enumeration capped at n = 7, got {n}")
-    if n == 1:
-        return (Graph(1, (0,)),)
-    # every connected graph arises by attaching its last non-cut vertex
-    return tuple(
-        _new_classes(
-            _attach_vertex(g, mask)
-            for g in _connected_classes(n - 1)
-            for mask in _least_masks(g, range(1, 1 << g.n))
-        )
-    )
+        raise GraphError(f"tree enumeration needs n >= 1, got {n}")
+    if n > 12:
+        raise GraphError(f"tree enumeration capped at n = 12, got {n}")
+    yield from _grown_classes(n, False)
 
 
 def enumerate_connected_graphs(n):
     """One representative per isomorphism class of connected graphs, n <= 7."""
-    yield from _connected_classes(int(n))
+    n = int(n)
+    if n < 1:
+        raise GraphError(f"connected enumeration needs n >= 1, got {n}")
+    if n > 7:
+        raise GraphError(f"connected-graph enumeration capped at n = 7, got {n}")
+    yield from _grown_classes(n, True)
 
 
 def _size_multisets(total, s, minimum=2):
@@ -208,6 +200,17 @@ def _size_multisets(total, s, minimum=2):
 MAX_CLIQUE_TREE_ORDER = 12
 
 
+def _glue_remaining(rem, g):
+    """g with each distinct size in rem glued, as a clique, at each vertex
+    least in its orbit; the tag is rem less that size."""
+    masks = list(_least_masks(g, [1 << v for v in range(g.n)]))
+    for a in sorted(set(rem)):
+        i = rem.index(a)
+        rest = rem[:i] + rem[i + 1 :]
+        for mask in masks:
+            yield rest, _join(g, mask, a - 1)
+
+
 @lru_cache(maxsize=None)
 def _clique_tree_classes(n, s):
     if n > MAX_CLIQUE_TREE_ORDER:
@@ -218,36 +221,15 @@ def _clique_tree_classes(n, s):
         raise GraphError(f"no clique tree has n={n} vertices and s={s} blocks")
     out = []
     for sizes in _size_multisets(n + s - 1, s):
-        # (signature, remaining sizes) -> {canonical form: first graph seen},
-        # grown one clique at a time. The nesting fixes the output order, so
-        # the equivalence the signature induces fixes it too: a signature
-        # that is still an invariant but buckets these graphs differently
-        # reorders the clique trees and the report bytes
-        level = {}
-        for a in sorted(set(sizes)):
-            k = complete_graph(a)
-            level[(canonical_form(k)[0], tuple(_removed(sizes, a)))] = {canonical_form(k): k}
-        for _ in range(s - 1):
-            nxt = {}
-            for (_, rem), classes in level.items():
-                for g in classes.values():
-                    reps = [m.bit_length() - 1 for m in _least_masks(g, [1 << v for v in range(g.n)])]
-                    for a in sorted(set(rem)):
-                        rem2 = tuple(_removed(rem, a))
-                        for v in reps:
-                            h = _glue_clique(g, v, a)
-                            form = canonical_form(h)
-                            nxt.setdefault((form[0], rem2), {}).setdefault(form, h)
-            level = nxt
-        for classes in level.values():
-            out.extend(classes.values())
+        # grown from K1, grouped by (signature, remaining sizes). The groups
+        # fix the output order, so the equivalence the signature induces fixes
+        # it too: a signature that is still an invariant but buckets these
+        # graphs differently reorders the clique trees and the report bytes
+        level = [(sizes, Graph(1, (0,)))]
+        for _ in range(s):
+            level = _grow(level, _glue_remaining, lambda form, rem: (form[0], rem))
+        out += (g for _, g in level)
     return tuple(out)
-
-
-def _removed(seq, value):
-    out = list(seq)
-    out.remove(value)
-    return out
 
 
 def enumerate_clique_trees(n, s=None):
@@ -274,17 +256,9 @@ def random_clique_tree(n, s, seed):
     if s < 1 or n < s + 1:
         raise GraphError(f"no clique tree has n={n} vertices and s={s} blocks")
     rng = random.Random(seed)
-    extra = n - s - 1
-    if s == 1:
-        sizes = [n]
-    else:
-        bars = sorted(rng.sample(range(extra + s - 1), s - 1))
-        sizes = []
-        prev = -1
-        for b in bars:
-            sizes.append(2 + (b - prev - 1))
-            prev = b
-        sizes.append(2 + (extra + s - 2 - prev))
+    # s - 1 bars among n - 2 slots; a block's size is 1 + its gap
+    bars = [-1] + sorted(rng.sample(range(n - 2), s - 1)) + [n - 2]
+    sizes = [1 + b - a for a, b in zip(bars, bars[1:])]
     g = complete_graph(sizes[0])
     for size in sizes[1:]:
         g = _glue_clique(g, rng.randrange(g.n), size)
