@@ -177,20 +177,12 @@ def jacobi_eigh(m):
                     t = -1.0 / (-tau + math.sqrt(1.0 + tau * tau))
                 cth = 1.0 / math.sqrt(1.0 + t * t)
                 sth = t * cth
-                col_p = a[:, p].copy()
-                col_q = a[:, q].copy()
-                a[:, p] = cth * col_p - sth * col_q
-                a[:, q] = sth * col_p + cth * col_q
-                row_p = a[p, :].copy()
-                row_q = a[q, :].copy()
-                a[p, :] = cth * row_p - sth * row_q
-                a[q, :] = sth * row_p + cth * row_q
-                a[p, q] = 0.0
-                a[q, p] = 0.0
-                vec_p = v[:, p].copy()
-                vec_q = v[:, q].copy()
-                v[:, p] = cth * vec_p - sth * vec_q
-                v[:, q] = sth * vec_p + cth * vec_q
+                # the columns of a, then its rows, then the columns of v
+                for lines in (a.T, a, v.T):
+                    x, y = lines[p].copy(), lines[q].copy()
+                    lines[p] = cth * x - sth * y
+                    lines[q] = sth * x + cth * y
+                a[p, q] = a[q, p] = 0.0
     else:
         off = math.sqrt(2.0 * float((a[iu] ** 2).sum()))
         if off > stop:
