@@ -64,10 +64,17 @@ def _emit(text, out):
 
 
 def _read_graph(path):
+    """The edge list in a file, or on stdin for "-", as UTF-8 whatever the locale."""
     if path in (None, "-"):
-        return parse_edge_list(sys.stdin.read())
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_edge_list(fh.read())
+        name, data = "stdin", sys.stdin.buffer.read()
+    else:
+        with open(path, "rb") as fh:
+            name, data = path, fh.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise GraphError(f"{name} is not UTF-8 text ({exc.reason} at byte {exc.start})") from None
+    return parse_edge_list(text)
 
 
 def _cmd_gen(args):

@@ -3,13 +3,13 @@ blocks to cliques.
 
 These are the operations the extremal claims compare across; which clique to
 move where is chosen in the verify module, keeping the surgery itself
-reusable. end_cliques and move_clique take decomp, the caller's
-block_decomposition of g, so that a caller decomposes each graph once.
+reusable. Each takes decomp, the caller's block_decomposition of g, so that
+a caller decomposes each graph once.
 """
 
 from __future__ import annotations
 
-from .graphs import Graph, GraphError, block_decomposition
+from .graphs import Graph, GraphError
 
 __all__ = ["end_cliques", "move_clique", "complete_blocks"]
 
@@ -61,13 +61,12 @@ def move_clique(g, K, v, w, decomp):
     return Graph(g.n, rows)
 
 
-def complete_blocks(g):
+def complete_blocks(g, decomp):
     """Add every missing edge inside each block, turning g into a clique tree.
 
     The result keeps the same blocks-as-vertex-sets and the same cut
     vertices; clique trees are fixed points.
     """
-    decomp = block_decomposition(g)  # rejects disconnected input
     rows = list(g.rows)
     for block in decomp.blocks:
         bmask = 0

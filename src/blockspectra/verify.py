@@ -205,9 +205,10 @@ def _block_bound(side, g, p):
 
 
 def _completion(side, g, p):
-    if not _has_spread_cut_pair(block_decomposition(g)):
+    decomp = block_decomposition(g)
+    if not _has_spread_cut_pair(decomp):
         return None
-    return ((side, (complete_blocks(g),)),)
+    return ((side, (complete_blocks(g, decomp),)),)
 
 
 def _clique_move(spec, p, kind, toward_smaller_entry):

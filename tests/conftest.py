@@ -6,7 +6,8 @@ the imported package first on PYTHONPATH, so it runs the same source tree as
 the test process: from a source checkout with `PYTHONPATH=src`, from any
 working directory, and with or without the package installed.
 
-Graph predicates that only tests need, read from the edge list.
+Graph predicates that only tests need, read from the edge list, and a
+counter of block decompositions.
 """
 
 import itertools
@@ -38,6 +39,24 @@ def is_clique_tree(g):
         return False
     edges = set(g.edges)
     return all(e in edges for b in blocks for e in itertools.combinations(sorted(b), 2))
+
+
+@pytest.fixture
+def decompositions(monkeypatch):
+    """The graphs passed to block_decomposition from anywhere in the package,
+    in call order."""
+    calls = []
+
+    def counted(g):
+        calls.append(g)
+        return block_decomposition(g)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "blockspectra" and (
+            getattr(module, "block_decomposition", None) is block_decomposition
+        ):
+            monkeypatch.setattr(module, "block_decomposition", counted)
+    return calls
 
 
 class ModuleLaunch(NamedTuple):

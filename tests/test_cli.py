@@ -19,11 +19,18 @@ from blockspectra.cli import main
 from blockspectra.graphs import MAX_ORDER
 
 
+# a UTF-16 byte-order mark before an otherwise valid edge list
+NOT_UTF8 = b"\xff\xfe3 1\n0 1\n"
+
+
 def run_cli(capsys, argv, stdin_text=None, monkeypatch=None):
+    """Run main in-process; stdin_text, str or bytes, becomes a UTF-8 stdin
+    that decodes strictly, as under PYTHONIOENCODING=utf-8:strict."""
     if stdin_text is not None:
         import io
 
-        monkeypatch.setattr(sys, "stdin", io.StringIO(stdin_text))
+        data = stdin_text.encode() if isinstance(stdin_text, str) else stdin_text
+        monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(data), encoding="utf-8"))
     code = main(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
@@ -139,6 +146,27 @@ class TestSpectrum:
     def test_missing_file_exits_1(self, capsys):
         code, _, err = run_cli(capsys, ["spectrum", "/nonexistent/g.txt"])
         assert code == 1 and err != ""
+
+    def test_non_utf8_file_is_a_one_line_error(self, capsys, tmp_path):
+        path = tmp_path / "bad.txt"
+        path.write_bytes(NOT_UTF8)
+        code, out, err = run_cli(capsys, ["spectrum", str(path)])
+        assert (code, out) == (1, "")
+        assert err == f"error: {path} is not UTF-8 text (invalid start byte at byte 0)\n"
+
+    def test_non_utf8_stdin_is_a_one_line_error(self, capsys, monkeypatch):
+        code, out, err = run_cli(capsys, ["spectrum"], stdin_text=NOT_UTF8, monkeypatch=monkeypatch)
+        assert (code, out) == (1, "")
+        assert err == "error: stdin is not UTF-8 text (invalid start byte at byte 0)\n"
+
+    @pytest.mark.parametrize("encoding", ["utf-8:strict", "latin-1"])
+    def test_non_utf8_stdin_fails_alike_in_any_locale(self, module_launch, encoding):
+        env = {**module_launch.env, "PYTHONIOENCODING": encoding}
+        run = subprocess.run(
+            [*module_launch.argv, "spectrum"], input=NOT_UTF8, capture_output=True, env=env
+        )
+        assert (run.returncode, run.stdout) == (1, b"")
+        assert run.stderr == b"error: stdin is not UTF-8 text (invalid start byte at byte 0)\n"
 
 
 class TestVerify:

@@ -1,6 +1,5 @@
 """Clique moves and block completion."""
 
-import itertools
 
 import pytest
 from conftest import is_clique_tree
@@ -20,7 +19,7 @@ from blockspectra import (
     path_graph,
     random_clique_tree,
 )
-from blockspectra import graphs, transforms
+from blockspectra import graphs
 from blockspectra.transforms import __all__ as transforms_all
 
 
@@ -34,6 +33,10 @@ def block_sizes(g):
 
 def move(g, K, v, w):
     return move_clique(g, K, v, w, block_decomposition(g))
+
+
+def complete(g):
+    return complete_blocks(g, block_decomposition(g))
 
 
 class TestEndCliques:
@@ -102,37 +105,28 @@ class TestMoveClique:
         with pytest.raises(GraphError):
             move(cycle_graph(4), {0, 1}, 0, 2)  # the cycle is one block
 
-    def test_decomposes_once(self, monkeypatch):
-        calls = []
-        real = graphs.block_decomposition
-
-        def counted(g):
-            calls.append(g)
-            return real(g)
-
-        for module in (graphs, transforms):
-            monkeypatch.setattr(module, "block_decomposition", counted)
+    def test_decomposes_once(self, decompositions):
         g = clique_path((3, 2, 2, 3))
         move_clique(g, {0, 1, 2}, 2, 4, graphs.block_decomposition(g))
-        assert len(calls) == 1
+        assert len(decompositions) == 1
 
 
 class TestCompleteBlocks:
     def test_cycle_fills_to_clique(self):
-        assert complete_blocks(cycle_graph(5)).edges == complete_graph(5).edges
+        assert complete(cycle_graph(5)).edges == complete_graph(5).edges
 
     def test_clique_trees_are_fixed_points(self):
         for seed in range(40):
             n = 4 + seed % 5
             g = random_clique_tree(n, min(1 + seed % 4, n - 1), seed)
-            assert complete_blocks(g).edges == g.edges
+            assert complete(g).edges == g.edges
 
     def test_two_c4_sharing_a_vertex(self):
         g = from_edge_list(
             7,
             [(0, 1), (1, 2), (2, 3), (3, 0), (0, 4), (4, 5), (5, 6), (6, 0)],
         )
-        cb = complete_blocks(g)
+        cb = complete(g)
         target = clique_path((4, 4))
         assert are_isomorphic(cb, target)
         from blockspectra import spectral_radius
@@ -164,17 +158,13 @@ class TestCompleteBlocks:
 
                 if is_connected(g):
                     break
-            cb = complete_blocks(g)
+            cb = complete(g)
             assert is_clique_tree(cb)
             assert set(g.edges) <= set(cb.edges)
-            assert complete_blocks(cb).edges == cb.edges
+            assert complete(cb).edges == cb.edges
             da, db = block_decomposition(g), block_decomposition(cb)
             assert sorted(map(sorted, da.blocks)) == sorted(map(sorted, db.blocks))
             assert da.cut_vertices == db.cut_vertices
-
-    def test_rejects_disconnected(self):
-        with pytest.raises(GraphError):
-            complete_blocks(from_edge_list(4, [(0, 1), (2, 3)]))
 
 
 def test_public_surface():

@@ -19,10 +19,8 @@ from blockspectra import (
     are_isomorphic,
     block_decomposition,
     clique_path,
-    graphs,
     parse_edge_list,
     path_graph,
-    transforms,
     verify,
 )
 from blockspectra.verify import (
@@ -266,6 +264,11 @@ class TestCompletion:
             assert report.checked == 40
             assert report.checked > report.ties
 
+    def test_one_decomposition_per_instance(self, decompositions):
+        report = run_check("L3.2")
+        assert report.checked + report.excluded > 0
+        assert len(decompositions) == report.checked + report.excluded
+
 
 class TestMoves:
     def test_adjacency_move_never_decreases(self):
@@ -289,19 +292,10 @@ class TestMoves:
             run_check("L2.1", trials=5, seed=0, n=4)
 
     @pytest.mark.parametrize("tid", ["L2.1", "L4.2"])
-    def test_one_decomposition_per_sampled_tree(self, monkeypatch, tid):
-        calls = []
-        real = graphs.block_decomposition
-
-        def counted(g):
-            calls.append(g)
-            return real(g)
-
-        for module in (graphs, transforms, verify):
-            monkeypatch.setattr(module, "block_decomposition", counted)
+    def test_one_decomposition_per_sampled_tree(self, decompositions, tid):
         report = run_check(tid, trials=40, seed=0, n=8)
         assert report.checked > 20
-        assert len(calls) == 40
+        assert len(decompositions) == 40
 
 
 class TestTieBranches:
