@@ -138,9 +138,9 @@ def _least_masks(g, masks):
 
 def _grow(level, children, group):
     """One growth step. children(tag, g) yields the (tag, graph) children of
-    each (tag, g) in level; the first child seen of each canonical form is
-    kept, grouped by group(form, tag). Returns the kept pairs group by group,
-    groups and members in first-seen order."""
+    each (tag, g) in level; they are grouped by group(form, tag), and the
+    first child seen of each canonical form in its group is kept. Returns the
+    kept pairs group by group, groups and members in first-seen order."""
     groups = {}
     for tag, g in level:
         for child_tag, h in children(tag, g):
@@ -151,9 +151,9 @@ def _grow(level, children, group):
 
 @lru_cache(maxsize=None)
 def _grown_classes(n, connected):
-    """The trees, or with connected the connected graphs, on n vertices. Each
-    is a smaller one with a vertex joined to one vertex, or for a connected
-    graph to the neighbours of its last non-cut vertex."""
+    """The trees on n vertices, or with connected the connected graphs. Each
+    is a smaller one plus a vertex joined to one vertex (a leaf), or to any
+    nonempty vertex set (its last non-cut vertex)."""
     if n == 1:
         return (Graph(1, (0,)),)
 

@@ -1,6 +1,5 @@
 """Clique moves and block completion."""
 
-
 import pytest
 from conftest import is_clique_tree
 
