@@ -130,7 +130,12 @@ def _least_masks(g, masks):
         orbit = [mask]
         for m in orbit:
             for perm in perms:
-                image = sum([1 << perm[v] for v in _bits(m)])
+                if m & (m - 1):
+                    image = 0
+                    for v in _bits(m):
+                        image |= 1 << perm[v]
+                else:
+                    image = 1 << perm[m.bit_length() - 1]
                 if image not in seen:
                     seen.add(image)
                     orbit.append(image)

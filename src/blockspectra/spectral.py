@@ -1,11 +1,12 @@
 """Dense symmetric eigen-computations for graph matrices.
 
 Builds adjacency and distance matrices (exact integers) and computes dominant
-eigenpairs in float64 by shifted power iteration with a cyclic Jacobi
-fallback. spectral_radii solves many graphs at once: same-order matrices are
-stacked and iterated together, with every row getting the bits the
-one-matrix solver gives it. The complement distance matrix is the object
-behind the identity D(G^c) = J - I + A(G), valid whenever diameter(G) > 3.
+eigenpairs in float64 by shifted power iteration with a round-robin
+(parallel-order) Jacobi fallback. spectral_radii solves many graphs at once:
+same-order matrices are stacked and iterated together, with every row getting
+the bits the one-matrix solver gives it. The complement distance matrix is
+the object behind the identity D(G^c) = J - I + A(G), valid whenever
+diameter(G) > 3.
 """
 
 from __future__ import annotations
@@ -145,9 +146,12 @@ def power_iteration(m, tol=DEFAULT_TOL):
 
 
 def jacobi_eigh(m):
-    """Full symmetric eigendecomposition by cyclic Jacobi rotations.
+    """Full symmetric eigendecomposition by round-robin (parallel-order)
+    Jacobi rotations.
 
-    Returns (eigenvalues, eigenvectors-as-columns), unsorted. Raises
+    Each sweep visits every pair (p, q) once, in rounds of disjoint pairs;
+    the rotations of one round commute, so they are applied together as one
+    J^T A J. Returns (eigenvalues, eigenvectors-as-columns), unsorted. Raises
     SpectralError if the off-diagonal mass has not vanished after 30 sweeps.
     """
     a = _check_symmetric(m).copy()
@@ -159,30 +163,33 @@ def jacobi_eigh(m):
     stop = 1e-14 * scale * n
     skip = stop / (2 * n)
     iu = np.triu_indices(n, 1)
+    rounds = _round_robin(n)
     # summing the strict upper triangle directly avoids the catastrophic
     # cancellation of frobenius-minus-diagonal once entries are near zero
     for _ in range(30):
         off = math.sqrt(2.0 * float((a[iu] ** 2).sum()))
         if off <= stop:
             break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if abs(apq) <= skip:
+        for p, q in rounds:
+            apq = a[p, q]
+            big = np.abs(apq) > skip
+            if not big.all():
+                p, q, apq = p[big], q[big], apq[big]
+                if not len(p):
                     continue
-                tau = (a[q, q] - a[p, p]) / (2.0 * apq)
-                if tau >= 0:
-                    t = 1.0 / (tau + math.sqrt(1.0 + tau * tau))
-                else:
-                    t = -1.0 / (-tau + math.sqrt(1.0 + tau * tau))
-                cth = 1.0 / math.sqrt(1.0 + t * t)
-                sth = t * cth
-                # the columns of a, then its rows, then the columns of v
-                for lines in (a.T, a, v.T):
-                    x, y = lines[p].copy(), lines[q].copy()
-                    lines[p] = cth * x - sth * y
-                    lines[q] = sth * x + cth * y
-                a[p, q] = a[q, p] = 0.0
+            tau = (a[q, q] - a[p, p]) / (2.0 * apq)
+            # the sign rule of tau >= 0 (which keeps -0.0 positive) without
+            # evaluating a branch that divides by zero
+            t = np.where(tau >= 0, 1.0, -1.0) / (np.abs(tau) + np.sqrt(1.0 + tau * tau))
+            cth = 1.0 / np.sqrt(1.0 + t * t)
+            sth = (t * cth)[:, None]
+            cth = cth[:, None]
+            # the columns of a, then its rows, then the columns of v
+            for lines in (a.T, a, v.T):
+                x, y = lines[p], lines[q]
+                lines[p] = cth * x - sth * y
+                lines[q] = sth * x + cth * y
+            a[p, q] = a[q, p] = 0.0
     else:
         off = math.sqrt(2.0 * float((a[iu] ** 2).sum()))
         if off > stop:
@@ -190,6 +197,24 @@ def jacobi_eigh(m):
                 f"jacobi failed to converge in 30 sweeps (off-diagonal {off:.3e})"
             )
     return np.diagonal(a).copy(), v
+
+
+def _round_robin(n):
+    """The rounds of one Jacobi sweep over n >= 2 indices, as (p, q) index
+    arrays with p < q: every pair once, each round's pairs disjoint.
+
+    The circle method on m = n rounded up to even: round r pairs r + k with
+    r - k modulo m - 1 for k = 1 .. m/2 - 1, and r with m - 1. For odd n,
+    m - 1 = n is a dummy index and its pair is dropped.
+    """
+    m = n + n % 2
+    r = np.arange(m - 1)[:, None]
+    k = np.arange(1, m // 2)
+    x, y = (r + k) % (m - 1), (r - k) % (m - 1)
+    if n % 2 == 0:
+        x = np.hstack([x, r])
+        y = np.hstack([y, np.full_like(r, n - 1)])
+    return list(zip(np.minimum(x, y), np.maximum(x, y)))
 
 
 def dominant_eigenpair(m, tol=DEFAULT_TOL):

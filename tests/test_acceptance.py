@@ -17,7 +17,6 @@ import json
 import math
 import time
 
-import pytest
 from conftest import is_clique_tree
 
 from blockspectra import (
@@ -25,7 +24,6 @@ from blockspectra import (
     are_isomorphic,
     block_decomposition,
     complete_graph,
-    diameter,
     distance_matrix,
     dominant_eigenpair,
     enumerate_clique_trees,

@@ -18,7 +18,6 @@ from conftest import is_clique_tree, neighbours
 
 from blockspectra import families, graphs
 from blockspectra import (
-    Graph,
     GraphError,
     are_isomorphic,
     bfs_distances,

@@ -1,13 +1,16 @@
 """Eigensolvers and matrix builders, checked against numpy.linalg.eigh.
 
 numpy's eigh appears only as a test oracle. The library's two routes (shifted
-power iteration, cyclic Jacobi) are exercised both through dominant_eigenpair
-and directly, and the batched spectral_radii is held to the bits of the
-one-matrix solver.
+power iteration, round-robin (parallel-order) Jacobi) are exercised both
+through dominant_eigenpair and directly; the round-robin Jacobi is held to a
+row-cyclic Jacobi reference, and the batched spectral_radii to the bits of
+the one-matrix solver.
 """
 
+import hashlib
 import math
 import random
+import warnings
 
 import numpy as np
 import pytest
@@ -49,9 +52,9 @@ def random_connected(rng, n):
 
 
 def copy_assign_jacobi(m):
-    """jacobi_eigh with its rotation written as separate copy-and-assign steps
-    for the columns of a, the rows of a and the columns of v; a bit-for-bit
-    reference for the library's single rotation loop."""
+    """Row-cyclic Jacobi, one (p, q) pair at a time, with the stopping rule
+    and 30-sweep cap of jacobi_eigh; the reference its round-robin order is
+    held to."""
     a = np.asarray(m, dtype=float).copy()
     n = a.shape[0]
     v = np.eye(n)
@@ -187,6 +190,37 @@ class TestDominantEigenpair:
             dominant_eigenpair(adjacency_matrix(path_graph(5)), tol=0.0)
 
 
+def jacobi_matrices():
+    """Zero matrices, small integer and Gaussian symmetric matrices, P_120 and
+    P_121 (which power iteration leaves to Jacobi), and Gaussian matrices of
+    order 2 and of odd orders, whose round-robin schedule has a dummy index."""
+    rng = np.random.default_rng(21)
+    mats = [np.zeros((n, n)) for n in range(1, 6)]
+    for _ in range(40):
+        n = int(rng.integers(1, 13))
+        b = rng.integers(-4, 5, size=(n, n)).astype(float)
+        mats.append(b + b.T)
+    for _ in range(40):
+        n = int(rng.integers(1, 13))
+        b = rng.standard_normal((n, n))
+        mats.append(b + b.T)
+    mats.append(adjacency_matrix(path_graph(120)))
+    mats.append(adjacency_matrix(path_graph(121)))
+    for n in (2, 3, 5, 9, 33):
+        b = rng.standard_normal((n, n))
+        mats.append(b + b.T)
+    return mats
+
+
+# SHA-256 of the values and vectors jacobi_eigh returns for jacobi_matrices()
+JACOBI_DIGEST = "2ae2991a810ef7970fe7a5ba45e9cec95ef60a2297dec7000a944823535bbdba"
+
+
+@pytest.fixture(scope="module")
+def jacobi_runs():
+    return [(m, *jacobi_eigh(m)) for m in jacobi_matrices()]
+
+
 class TestSolverRoutes:
     def test_power_vs_jacobi_agreement(self):
         rng = random.Random(4)
@@ -208,24 +242,28 @@ class TestSolverRoutes:
             assert np.allclose(np.sort(vals), np.linalg.eigvalsh(a), atol=1e-10)
             assert np.max(np.abs(a @ vecs - vecs * vals)) < 1e-10
 
-    def test_jacobi_keeps_the_bits_of_the_copy_and_assign_loop(self):
-        rng = np.random.default_rng(21)
-        mats = [np.zeros((n, n)) for n in range(1, 6)]
-        for _ in range(40):
-            n = int(rng.integers(1, 13))
-            b = rng.integers(-4, 5, size=(n, n)).astype(float)
-            mats.append(b + b.T)
-        for _ in range(40):
-            n = int(rng.integers(1, 13))
-            b = rng.standard_normal((n, n))
-            mats.append(b + b.T)
-        # P_120 is the large matrix the benchmark solves by Jacobi
-        mats.append(adjacency_matrix(path_graph(120)))
-        for m in mats:
-            vals, vecs = jacobi_eigh(m)
-            ref_vals, ref_vecs = copy_assign_jacobi(m)
-            assert vals.tobytes() == ref_vals.tobytes()
-            assert vecs.tobytes() == ref_vecs.tobytes()
+    def test_jacobi_agrees_with_the_cyclic_reference_and_eigh(self, jacobi_runs):
+        for m, vals, vecs in jacobi_runs:
+            n = m.shape[0]
+            scale = max(1.0, float(np.abs(m).max()))
+            ref_vals, _ = copy_assign_jacobi(m)
+            assert np.abs(np.sort(vals) - np.sort(ref_vals)).max() <= 1e-12 * scale * n
+            assert np.abs(np.sort(vals) - np.linalg.eigvalsh(m)).max() <= 1e-12 * scale * n
+            assert np.abs(m @ vecs - vecs * vals).max() < 1e-10 * scale
+            assert np.abs(vecs.T @ vecs - np.eye(n)).max() < 1e-12 * n
+
+    def test_jacobi_bits_are_pinned(self, jacobi_runs):
+        digest = hashlib.sha256()
+        for _, vals, vecs in jacobi_runs:
+            digest.update(vals.tobytes())
+            digest.update(vecs.tobytes())
+        assert digest.hexdigest() == JACOBI_DIGEST
+
+    def test_jacobi_raises_no_warnings(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for m in jacobi_matrices():
+                jacobi_eigh(m)
 
     def test_kernel_iterate_falls_to_jacobi(self):
         # the all-ones start vector is annihilated by m + cI here
