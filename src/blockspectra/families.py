@@ -8,9 +8,9 @@ one vertex at a time, by one step (_join). Enumerators yield exactly one
 representative per isomorphism class, the first candidate seen with each
 canonical form, in a fixed order, from one dedup pass (_grow). They grow
 each smaller class only at the least vertex, or vertex set, of each orbit
-of its automorphisms (_least_masks); a skipped candidate is isomorphic to
-one grown before it from the same class, so it was never first seen, and
-the output order and representatives are those of the unpruned growth.
+of its automorphisms (_least_masks, via _orbit); a skipped candidate is
+isomorphic to one grown before it from the same class, so never first seen,
+and the output order and representatives are those of the unpruned growth.
 """
 
 from __future__ import annotations
@@ -24,6 +24,7 @@ from .graphs import (
     GraphError,
     _automorphisms,
     _bits,
+    _orbit,
     canonical_form,
     from_edge_list,
 )
@@ -123,22 +124,9 @@ def _least_masks(g, masks):
     perms = _automorphisms(g)
     seen = set()
     for mask in masks:
-        if mask in seen:
-            continue
-        yield mask
-        seen.add(mask)
-        orbit = [mask]
-        for m in orbit:
-            for perm in perms:
-                if m & (m - 1):
-                    image = 0
-                    for v in _bits(m):
-                        image |= 1 << perm[v]
-                else:
-                    image = 1 << perm[m.bit_length() - 1]
-                if image not in seen:
-                    seen.add(image)
-                    orbit.append(image)
+        if mask not in seen:
+            yield mask
+            seen |= _orbit((mask,), perms)
 
 
 def _grow(level, children, group):

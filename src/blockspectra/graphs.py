@@ -1,11 +1,11 @@
 """Simple undirected graphs with exact distances, blocks, and canonical forms.
 
-Vertices are always labeled 0..n-1. Adjacency is stored as one Python int
-bitmask per vertex, which keeps complement, BFS, and block routines exact and
-cheap at the scales this package targets (n up to a few hundred). Isomorphism
-is decided by one mechanism, canonical_form: two graphs are isomorphic iff
-their forms are equal. Its search refines ordered partitions whose cells are
-vertex bitmasks too, so a neighbour count in a cell is one AND and a popcount.
+Vertices are always labeled 0..n-1. Adjacency is one Python int bitmask per
+vertex, which keeps complement, the one single-source BFS (_bfs_row) and
+block routines exact and cheap for n up to a few hundred. canonical_form
+alone decides isomorphism: equal forms iff isomorphic. Its search refines
+ordered partitions of vertex bitmasks, a neighbour count in a cell being one
+AND and a popcount, and prunes by _orbit, the one orbit closure on bitmasks.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ __all__ = [
     "complement",
     "bfs_distances",
     "diameter",
-    "is_connected",
     "block_decomposition",
     "canonical_form",
     "are_isomorphic",
@@ -119,18 +118,20 @@ def complement(g):
     return Graph(g.n, (full & ~r & ~(1 << v) for v, r in enumerate(g.rows)))
 
 
-def _bfs_levels(rows, source):
-    """Yield, as bitmasks, the vertices at distance 1, 2, ... from source."""
-    visited = frontier = 1 << source
-    while True:
+def _bfs_row(rows, s):
+    """Distances from s over neighbour bitmasks rows, math.inf if unreachable."""
+    row = [math.inf] * len(rows)
+    visited = frontier = 1 << s
+    depth = 0
+    while frontier:
         nxt = 0
         for v in _bits(frontier):
+            row[v] = depth
             nxt |= rows[v]
         frontier = nxt & ~visited
-        if not frontier:
-            return
         visited |= frontier
-        yield frontier
+        depth += 1
+    return row
 
 
 def bfs_distances(g):
@@ -140,38 +141,12 @@ def bfs_distances(g):
     one array at the end; numpy assignments per entry, or per level, were
     slower at every order measured, 7 to 300.
     """
-    rows = g.rows
-    out = []
-    for s in range(g.n):
-        row = [math.inf] * g.n
-        visited = frontier = 1 << s
-        depth = 0
-        while frontier:
-            nxt = 0
-            for v in _bits(frontier):
-                row[v] = depth
-                nxt |= rows[v]
-            frontier = nxt & ~visited
-            visited |= frontier
-            depth += 1
-        out.append(row)
-    return np.array(out, dtype=np.float64)
+    return np.array([_bfs_row(g.rows, s) for s in range(g.n)], dtype=np.float64)
 
 
 def diameter(g):
-    """Largest finite distance, or math.inf when g is disconnected.
-
-    The eccentricity of a vertex is its number of BFS levels; no distance
-    matrix is built.
-    """
-    if not is_connected(g):
-        return math.inf
-    return max(sum(1 for _ in _bfs_levels(g.rows, s)) for s in range(g.n))
-
-
-def is_connected(g):
-    # the BFS levels are disjoint, so their sum is their union
-    return 1 + sum(_bfs_levels(g.rows, 0)) == (1 << g.n) - 1
+    """Largest distance, from one BFS row at a time: math.inf if disconnected."""
+    return max(max(_bfs_row(g.rows, s)) for s in range(g.n))
 
 
 @dataclass(frozen=True)
@@ -341,7 +316,7 @@ def canonical_form(g):
     gens = []
     best = best_order = None
     # one frame per open node: (path, cells, index of the branch cell,
-    # unexplored branch vertices, explored branch vertices)
+    # unexplored branch vertices, explored branch vertices as bitmasks)
     frames = []
     node = ((), cells)
     while node is not None:
@@ -382,9 +357,10 @@ def canonical_form(g):
                 continue
             if explored:
                 swaps = swaps if swaps is not None else _swaps(twin)
-                if v in _orbit(explored, [p for p in swaps + gens if all(p[u] == u for u in path)]):
+                fixing = [p for p in swaps + gens if all(p[u] == u for u in path)]
+                if 1 << v in _orbit(explored, fixing):
                     continue
-            explored.append(v)
+            explored.append(1 << v)
             # the parent is equitable; a count in the rest of the cell is
             # the count in the cell less the one in {v}
             pair = [1 << v, cells[i] ^ 1 << v]
@@ -396,15 +372,22 @@ def canonical_form(g):
     return result
 
 
-def _orbit(points, perms):
-    """The orbit of a set of vertices under the group the perms generate."""
-    orbit = set(points)
+def _orbit(masks, perms):
+    """The union of the orbits of vertex-set bitmasks under the group the
+    perms generate, as a set of bitmasks; a vertex v is the mask 1 << v."""
+    orbit = set(masks)
     frontier = list(orbit)
-    for u in frontier:
+    for m in frontier:
         for p in perms:
-            if p[u] not in orbit:
-                orbit.add(p[u])
-                frontier.append(p[u])
+            if m & (m - 1):
+                image = 0
+                for v in _bits(m):
+                    image |= 1 << p[v]
+            else:
+                image = 1 << p[m.bit_length() - 1]
+            if image not in orbit:
+                orbit.add(image)
+                frontier.append(image)
     return orbit
 
 

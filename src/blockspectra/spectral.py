@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import GraphError, bfs_distances, complement, is_connected
+from .graphs import GraphError, bfs_distances, complement
 
 __all__ = [
     "EigenPair",
@@ -79,10 +79,10 @@ def complement_distance_matrix(g):
     For diameter(g) > 3 this equals J - I + A(g) entrywise; for diameter
     exactly 3 it dominates J - I + A(g) entrywise.
     """
-    gc = complement(g)
-    if not is_connected(gc):
+    d = bfs_distances(complement(g))
+    if np.isinf(d).any():
         raise GraphError("complement of the input graph is disconnected")
-    return distance_matrix(gc)
+    return d.astype(np.int64)
 
 
 def _check_symmetric(m):
@@ -157,8 +157,6 @@ def jacobi_eigh(m):
     a = _check_symmetric(m).copy()
     n = a.shape[0]
     v = np.eye(n)
-    if n == 1:
-        return a.diagonal().copy(), v
     scale = max(1.0, float(np.abs(a).max()))
     stop = 1e-14 * scale * n
     skip = stop / (2 * n)
@@ -200,12 +198,12 @@ def jacobi_eigh(m):
 
 
 def _round_robin(n):
-    """The rounds of one Jacobi sweep over n >= 2 indices, as (p, q) index
+    """The rounds of one Jacobi sweep over n >= 1 indices, as (p, q) index
     arrays with p < q: every pair once, each round's pairs disjoint.
 
     The circle method on m = n rounded up to even: round r pairs r + k with
     r - k modulo m - 1 for k = 1 .. m/2 - 1, and r with m - 1. For odd n,
-    m - 1 = n is a dummy index and its pair is dropped.
+    m - 1 = n is a dummy index and its pair is dropped (n = 1: one empty round).
     """
     m = n + n % 2
     r = np.arange(m - 1)[:, None]

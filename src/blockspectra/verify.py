@@ -124,10 +124,15 @@ def _gstr(g):
     return format_edge_list(g).strip().replace("\n", "; ")
 
 
-def _has_spread_cut_pair(decomp):
-    """True iff two cut vertices share no block (the standing hypothesis)."""
-    pairs = itertools.combinations(sorted(decomp.cut_vertices), 2)
-    return any(not any(u in b and v in b for b in decomp.blocks) for u, v in pairs)
+def _spread(g):
+    """g's block decomposition if two of its cut vertices share no block (the
+    standing hypothesis), else None. The blocks holding a cut vertex form a
+    subtree of the block-cut tree, and subtrees of a tree that meet pairwise
+    share a node (Helly; Golumbic 1980, ch. 4), so the hypothesis holds iff
+    there are cut vertices and no block holds them all."""
+    decomp = block_decomposition(g)
+    cuts = decomp.cut_vertices
+    return decomp if cuts and not any(cuts <= b for b in decomp.blocks) else None
 
 
 def _orderings(sizes):
@@ -197,18 +202,16 @@ def _tree_chain(g, p):
 
 def _block_bound(side, g, p):
     """The clique paths below g, or the clique stars above it, with its block sizes."""
-    decomp = block_decomposition(g)
-    if not _has_spread_cut_pair(decomp):
+    decomp = _spread(g)
+    if decomp is None:
         return None
     sizes = tuple(sorted(len(b) for b in decomp.blocks))
     return ((side, _comparators("path" if side == "lower" else "star", sizes)),)
 
 
 def _completion(side, g, p):
-    decomp = block_decomposition(g)
-    if not _has_spread_cut_pair(decomp):
-        return None
-    return ((side, (complete_blocks(g, decomp),)),)
+    decomp = _spread(g)
+    return None if decomp is None else ((side, (complete_blocks(g, decomp),)),)
 
 
 def _clique_move(spec, p, kind, toward_smaller_entry):
@@ -220,10 +223,10 @@ def _clique_move(spec, p, kind, toward_smaller_entry):
     the radius must not drop.
     """
     g = random_clique_tree(*spec)
-    decomp = block_decomposition(g)
+    decomp = _spread(g)
     # before the Perron round: an excluded tree's complement may be
     # disconnected, and its complement distance matrix is then undefined
-    if not _has_spread_cut_pair(decomp):
+    if decomp is None:
         return None
     x = (yield kind, (g,))[0].vector
     moves = []
@@ -406,7 +409,9 @@ def _connected(p):
 
 
 def _connected_up_to(first, p):
-    return [g for n in range(first, p["n_max"] + 1) for g in enumerate_connected_graphs(n)]
+    # enumerated from n_max down, so an order above the cap is named as given
+    levels = [list(enumerate_connected_graphs(n)) for n in range(p["n_max"], first - 1, -1)]
+    return [g for level in reversed(levels) for g in level]
 
 
 def _move_specs(p):

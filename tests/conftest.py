@@ -31,6 +31,18 @@ def neighbours(g):
     return adj
 
 
+def is_connected(g):
+    """True iff a traversal from vertex 0 over the edge list reaches every vertex."""
+    adj = neighbours(g)
+    seen, stack = {0}, [0]
+    while stack:
+        for w in adj[stack.pop()]:
+            if w not in seen:
+                seen.add(w)
+                stack.append(w)
+    return len(seen) == g.n
+
+
 def is_clique_tree(g):
     """True iff g is connected and every block induces a complete subgraph."""
     try:

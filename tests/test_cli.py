@@ -219,6 +219,12 @@ class TestVerify:
         assert outs[0] == outs[1]
         assert module_launch.run("verify", "L3.1", "--n", "6", "--jobs", "1").returncode == 2
 
+    @pytest.mark.parametrize("tid", ["L3.2", "L5.1", "L4.1"])
+    def test_connected_cap_names_the_given_order(self, capsys, tid):
+        code, out, err = run_cli(capsys, ["verify", tid, "--n", "99"])
+        assert (code, out) == (1, "")
+        assert err == "error: connected-graph enumeration capped at n = 7, got 99\n"
+
     def test_alias_accepted(self, capsys):
         code, out, _ = run_cli(capsys, ["verify", "T4.4", "--n", "5"])
         assert code == 0 and json.loads(out)["theorem"] == "L4.4"

@@ -11,7 +11,7 @@ import heapq
 import itertools
 
 import pytest
-from conftest import is_clique_tree, neighbours
+from conftest import is_clique_tree, is_connected, neighbours
 
 from blockspectra import (
     GraphError,
@@ -27,7 +27,6 @@ from blockspectra import (
     enumerate_trees,
     format_edge_list,
     from_edge_list,
-    is_connected,
     parse_family_spec,
     path_graph,
     random_clique_tree,

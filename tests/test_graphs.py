@@ -14,7 +14,7 @@ import math
 import random
 
 import pytest
-from conftest import is_clique_tree, neighbours
+from conftest import is_clique_tree, is_connected, neighbours
 
 from blockspectra import families, graphs
 from blockspectra import (
@@ -25,6 +25,7 @@ from blockspectra import (
     canonical_form,
     clique_star,
     complement,
+    complement_distance_matrix,
     complete_graph,
     diameter,
     enumerate_clique_trees,
@@ -32,7 +33,6 @@ from blockspectra import (
     enumerate_trees,
     format_edge_list,
     from_edge_list,
-    is_connected,
     parse_edge_list,
     path_graph,
 )
@@ -293,10 +293,19 @@ class TestDistances:
             *enumerate_trees(12),
             *disconnected,
         ]
+        raised = 0
         for g in cases:
             expected = plain_bfs(g)
             assert bfs_distances(g).tolist() == expected, format_edge_list(g)
             assert diameter(g) == max(max(row) for row in expected)
+            expected = plain_bfs(complement(g))
+            if any(math.inf in row for row in expected):
+                raised += 1
+                with pytest.raises(GraphError, match="complement .* disconnected"):
+                    complement_distance_matrix(g)
+            else:
+                assert complement_distance_matrix(g).tolist() == expected, format_edge_list(g)
+        assert 0 < raised < len(cases)
 
     def test_diameter(self):
         for n in range(2, 8):
@@ -541,7 +550,7 @@ class TestCanonicalForm:
                 auts = brute_automorphisms(g)
                 found = graphs._automorphisms(g)
                 for v in range(n):
-                    assert graphs._orbit([v], found) == {p[v] for p in auts}
+                    assert graphs._orbit([1 << v], found) == {1 << p[v] for p in auts}
                 masks = list(families._least_masks(g, range(1, 1 << n)))
                 brute = {min(sum(1 << p[v] for v in range(n) if m >> v & 1) for p in auts)
                          for m in range(1, 1 << n)}

@@ -1,5 +1,6 @@
 """The package namespace re-exports exactly the layer modules' public names,
-and each of them is used by the package itself."""
+and each of them, and each module-level private function, is used by the
+package itself."""
 
 import ast
 import importlib
@@ -30,3 +31,25 @@ def test_no_public_name_is_test_only():
             elif isinstance(node, ast.Attribute):
                 read.add(node.attr)
     assert sorted(set(blockspectra.__all__) - read - {"__version__"}) == []
+
+
+def test_no_private_function_is_unread():
+    """Every module-level private function is read somewhere in the package
+    outside its own body, so a helper that its last caller stopped using,
+    such as a superseded BFS loop, cannot linger."""
+    defined, read = set(), set()
+    for path in Path(blockspectra.__file__).parent.glob("*.py"):
+        for top in ast.parse(path.read_text(encoding="utf-8")).body:
+            own = top.name if isinstance(top, ast.FunctionDef) else None
+            if own and own.startswith("_") and not own.startswith("__"):
+                defined.add(own)
+            for node in ast.walk(top):
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                    name = node.id
+                elif isinstance(node, ast.Attribute):
+                    name = node.attr
+                else:
+                    continue
+                if name != own:
+                    read.add(name)
+    assert defined and sorted(defined - read) == []

@@ -1,7 +1,7 @@
 """Clique moves and block completion."""
 
 import pytest
-from conftest import is_clique_tree
+from conftest import is_clique_tree, is_connected
 
 from blockspectra import (
     GraphError,
@@ -153,8 +153,6 @@ class TestCompleteBlocks:
                     if rng.random() < 0.45
                 ]
                 g = from_edge_list(n, edges)
-                from blockspectra import is_connected
-
                 if is_connected(g):
                     break
             cb = complete(g)

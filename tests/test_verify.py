@@ -19,6 +19,9 @@ from blockspectra import (
     are_isomorphic,
     block_decomposition,
     clique_path,
+    complete_graph,
+    enumerate_clique_trees,
+    enumerate_connected_graphs,
     parse_edge_list,
     path_graph,
     verify,
@@ -143,6 +146,26 @@ class TestExhaustiveness:
     def test_identity_counts(self):
         report = run_check("L4.1", n=5)
         assert report.checked + report.excluded == 1 + 1 + 2 + 6 + 21
+
+
+class TestHypothesis:
+    def test_spread_matches_the_pairwise_statement(self):
+        """_spread returns the block decomposition exactly when two cut
+        vertices share no block, checked pair by pair: every connected graph
+        with n <= 7, the first being K1, which has no blocks, and every
+        clique tree with n <= 11."""
+        pool = [g for n in range(1, 8) for g in enumerate_connected_graphs(n)]
+        pool += [g for n in range(1, 12) for g in enumerate_clique_trees(n)]
+        assert pool[0] == complete_graph(1) and block_decomposition(pool[0]).blocks == ()
+        held = 0
+        for g in pool:
+            d = block_decomposition(g)
+            pairs = itertools.combinations(sorted(d.cut_vertices), 2)
+            pairwise = any(not any(u in b and v in b for b in d.blocks) for u, v in pairs)
+            assert verify._spread(g) == (d if pairwise else None), g
+            held += pairwise
+        assert len(pool) == 8254
+        assert 0 < held < len(pool)
 
 
 class TestExtremal:
