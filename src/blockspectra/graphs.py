@@ -6,6 +6,10 @@ block routines exact and cheap for n up to a few hundred. canonical_form
 alone decides isomorphism: equal forms iff isomorphic. Its search refines
 ordered partitions of vertex bitmasks, a neighbour count in a cell being one
 AND and a popcount, and prunes by _orbit, the one orbit closure on bitmasks.
+_canonical_forms gives the same forms and generators for a list of graphs:
+it runs the refinement of each order's root partitions, and of every child
+one branching below them, on numpy stacks, replays the search over those
+leaves graph by graph, and leaves deeper searches to canonical_form.
 """
 
 from __future__ import annotations
@@ -331,7 +335,10 @@ def canonical_form(g):
             i = widths.index(width)
             frames.append((path, cells, i, _bits(cells[i]), []))
         else:
-            order = [v for c in cells for v in _bits(c)]
+            if len(cells) == n:
+                order = [c.bit_length() - 1 for c in cells]
+            else:
+                order = [v for c in cells for v in _bits(c)]
             bit = {1 << v: 1 << i for i, v in enumerate(order)}
             leaf = 0
             for v in order:
@@ -398,6 +405,195 @@ def _automorphisms(g):
     rather than cached."""
     canonical_form(g)
     return _swaps(_twins(g.rows)) + list(g.__dict__.get("_leaf_auts", ()))
+
+
+# Largest order canonicalised in a batch: a refinement key of order n is an
+# integer below (n + 1) ** (n + 1), exact in float64 up to n = 12.
+BATCH_MAX_ORDER = 12
+
+
+def _canonical_forms(graphs):
+    """canonical_form of each graph, in order.
+
+    The uncached graphs of each order up to BATCH_MAX_ORDER, when the call
+    holds two or more, are searched together by _search_level. A graph it
+    leaves uncached, because its search goes deeper than one branching, and
+    every other graph go to canonical_form alone.
+    """
+    graphs = list(graphs)
+    levels = {}
+    for g in graphs:
+        if g.n <= BATCH_MAX_ORDER and "_canon" not in g.__dict__:
+            levels.setdefault(g.n, []).append(g)
+    for level in levels.values():
+        if len(level) > 1:
+            _search_level(level)
+    return [canonical_form(g) for g in graphs]
+
+
+def _bit_stack(graphs, n):
+    """Float64 stack of the 0/1 adjacency matrices of graphs of order n,
+    unpacked from their bitset rows."""
+    width = (n + 7) // 8
+    packed = b"".join(r.to_bytes(width, "little") for g in graphs for r in g.rows)
+    bits = np.unpackbits(np.frombuffer(packed, dtype=np.uint8), bitorder="little")
+    return bits.reshape(len(graphs), n, 8 * width)[:, :, :n].astype(np.float64, order="C")
+
+
+def _ranks(keys):
+    """How many keys of its row, the last axis, are less than each key: equal
+    keys share a rank and ranks keep the keys' order. As cell indices the
+    ranks give the ordered partition the keys do."""
+    return (keys[..., None, :] < keys[..., :, None]).sum(-1)
+
+
+def _refine_stack(adj, cells):
+    """_refine for a stack of ordered partitions: cells[..., v] is the _ranks
+    index of v's cell and adj[..., v, u] the float64 adjacency, broadcast
+    against cells. Each round keys a vertex by (cell, negated neighbour count
+    per cell), read as one integer in base n + 1, and the ranks of the keys
+    of each graph are its new cells, until no cell splits. That is the
+    ordered partition _refine documents."""
+    n = cells.shape[-1]
+    # a cell's own digit, and the place value of a count in it
+    high = np.array([c * (n + 1) ** n for c in range(n)], dtype=np.float64)
+    low = np.array([(n + 1) ** (n - 1 - c) for c in range(n)], dtype=np.float64)
+    while True:
+        keys = high[cells] - (adj @ low[cells][..., None])[..., 0]
+        refined = _ranks(keys)
+        if np.array_equal(refined, cells):
+            return cells
+        cells = refined
+
+
+def _cell_order(cells):
+    """place[..., v], the position of v when the vertices are listed in cell
+    order, each cell ascending, and order, the vertex at each position."""
+    n = cells.shape[-1]
+    earlier = np.arange(n) < np.arange(n)[:, None]
+    place = cells + ((cells[..., :, None] == cells[..., None, :]) & earlier).sum(-1)
+    order = np.empty_like(place)
+    np.put_along_axis(order, place, np.arange(n), -1)
+    return place, order
+
+
+def _widths(cells, twin):
+    """The number of vertices and of twin classes in each cell, indexed by
+    the cell's _ranks index and 0 at an index no cell has; twin[..., v] is
+    the least twin of v, broadcast against cells."""
+    n = cells.shape[-1]
+    earlier = np.arange(n) < np.arange(n)[:, None]
+    same = (cells[..., :, None] == cells[..., None, :]) & (twin[..., :, None] == twin[..., None, :])
+    member = cells[..., :, None] == np.arange(n)
+    first = ~(same & earlier).any(-1)
+    return member.sum(-2), (member & first[..., None]).sum(-2)
+
+
+def _leaf_rows(adj, place):
+    """The rows of adj relabelled by a leaf's vertex places, in place order,
+    row i holding bit j iff the vertices at places i and j are adjacent."""
+    n = place.shape[-1]
+    bit = np.array([1 << j for j in range(n)], dtype=np.float64)
+    image = (adj @ bit[place][..., None])[..., 0].astype(np.int64)
+    rows = np.empty_like(image)
+    np.put_along_axis(rows, place, image, -1)
+    return rows
+
+
+def _search_level(batch):
+    """Cache canonical_form's form and generators for each graph of batch,
+    all of one order, whose search stops at the root or one branching below
+    it; leave the others uncached.
+
+    numpy stacks refine the root partitions of all the graphs at once, then
+    those of every child of their roots, each branch vertex individualised.
+    Only the search's choices, its orbit pruning and leaf comparisons, run
+    per graph, over the precomputed leaves. Cells are _ranks indices, so a
+    cell's index is the place of its first vertex in the leaf order.
+    """
+    n = batch[0].n
+    adj = _bit_stack(batch, n)
+    cells = _refine_stack(adj, _ranks(adj.sum(-1)))
+    # twin[:, v], the least twin of v as _twins finds it, comparing the open
+    # and the closed neighbourhoods read as numbers
+    bit = np.array([1 << v for v in range(n)], dtype=np.float64)
+    open_rows = adj @ bit
+    closed_rows = open_rows + bit
+    same = ((open_rows[:, :, None] == open_rows[:, None, :])
+            | (closed_rows[:, :, None] == closed_rows[:, None, :]))
+    twin = np.where(same, np.arange(n), n).min(-1)
+    sizes, widths = _widths(cells, twin)
+    # the signature's sorted cell indices: the cell holding place p is the
+    # last cell whose index is <= p, so it is cell number (their count - 1)
+    colors = ((sizes[:, None, :] > 0) & (np.arange(n) <= np.arange(n)[:, None])).sum(-1) - 1
+    edges = [sum(map(int.bit_count, g.rows)) // 2 for g in batch]
+    forms = [(n, m, tuple(c)) for m, c in zip(edges, colors.tolist())]
+    place, order = _cell_order(cells)
+    branching = widths.max(-1) > 1
+
+    at_root = np.flatnonzero(~branching)
+    images = _leaf_rows(adj[at_root], place[at_root])
+    for k, image in zip(at_root.tolist(), images.tolist()):
+        batch[k].__dict__["_canon"] = (forms[k], _leaf_int(image, n))
+
+    below = np.flatnonzero(branching)
+    if not below.size:
+        return
+    adj, cells, twin, order = adj[below, None], cells[below], twin[below], order[below]
+    # the first cell with the fewest twin classes, two at least, and its
+    # vertices ascending, the last repeated up to the largest such cell
+    i = np.where(widths[below] > 1, widths[below], n + 1).argmin(-1)[:, None]
+    size = sizes[below, i[:, 0]]
+    slot = np.arange(size.max())
+    branch = np.take_along_axis(order, i + np.minimum(slot, size[:, None] - 1), -1)
+    # each child puts {v} before the rest of the cell, whose index is then i + 1
+    child = cells[:, None, :]
+    picked = np.arange(n) == branch[..., None]
+    child = _refine_stack(adj, child + ((child == i[..., None]) & ~picked))
+    leafy = _widths(child, twin[:, None, :])[1].max(-1) <= 1
+    place, order = _cell_order(child)
+    images = _leaf_rows(adj, place)
+    per_graph = zip(below.tolist(), leafy.all(-1).tolist(), twin.tolist(), branch.tolist(),
+                    size.tolist(), images.tolist(), order.tolist())
+    for k, shallow, tw, vs, s, image, leaf_order in per_graph:
+        if shallow:
+            best, gens = _replay(tw, vs[:s], image, leaf_order)
+            g = batch[k]
+            g.__dict__["_canon"] = (forms[k], _leaf_int(best, n))
+            if gens:
+                g.__dict__["_leaf_auts"] = tuple(gens)
+
+
+def _replay(twin, branch, leaves, orders):
+    """canonical_form's search below a root whose children are all leaves:
+    branch lists the branch vertices ascending, leaves[j] the relabelled rows
+    and orders[j] the vertex order of branch[j]'s leaf. Returns the least
+    leaf's rows and the generators, with the same pruning and in the same
+    order as canonical_form."""
+    swaps, gens, explored = None, [], []
+    best = best_order = None
+    for v, leaf, order in zip(branch, leaves, orders):
+        if explored:
+            swaps = swaps if swaps is not None else _swaps(twin)
+            if 1 << v in _orbit(explored, swaps + gens):
+                continue
+        explored.append(1 << v)
+        if best is None or leaf < best:
+            best, best_order = leaf, order
+        elif leaf == best:
+            perm = [0] * len(order)
+            for u, w in zip(best_order, order):
+                perm[u] = w
+            gens.append(tuple(perm))
+    return best, gens
+
+
+def _leaf_int(rows, n):
+    """A leaf's relabelled rows as one n*n-bit integer, the first row highest."""
+    leaf = 0
+    for image in rows:
+        leaf = leaf << n | image
+    return leaf
 
 
 def are_isomorphic(g, h):

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import GraphError, bfs_distances, complement
+from .graphs import GraphError, _bit_stack, bfs_distances, complement
 
 __all__ = [
     "EigenPair",
@@ -242,15 +242,6 @@ def dominant_eigenpair(m, tol=DEFAULT_TOL):
             f"{residual:.3e} exceeds tol {tol:.1e}"
         )
     return EigenPair(lam, x, residual, 100 * n, "jacobi")
-
-
-def _bit_stack(graphs, n):
-    """Float64 stack of the 0/1 adjacency matrices of graphs of order n,
-    unpacked from their bitset rows."""
-    width = (n + 7) // 8
-    packed = b"".join(r.to_bytes(width, "little") for g in graphs for r in g.rows)
-    bits = np.unpackbits(np.frombuffer(packed, dtype=np.uint8), bitorder="little")
-    return bits.reshape(len(graphs), n, 8 * width)[:, :, :n].astype(np.float64, order="C")
 
 
 def _matrix_stack(graphs, kind):

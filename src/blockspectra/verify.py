@@ -19,11 +19,9 @@ from __future__ import annotations
 import inspect
 import itertools
 import json
-import multiprocessing
 import os
 import random
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from functools import cache, partial
 from typing import Callable, NamedTuple
@@ -589,6 +587,11 @@ def _run_family(tid, p, items, jobs):
     jobs = min(jobs, os.cpu_count() or 1)
     if jobs == 1 or len(items) < 2:
         return _run_rounds(tid, p, items)
+    # imported here: the pool modules add about 25 ms to every import of the
+    # package, and only a run with jobs > 1 uses them
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
     size = -(-len(items) // jobs)
     chunks = [items[i : i + size] for i in range(0, len(items), size)]
     spawn = multiprocessing.get_context("spawn")

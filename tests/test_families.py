@@ -13,6 +13,7 @@ import itertools
 import pytest
 from conftest import is_clique_tree, is_connected, neighbours
 
+from blockspectra import families
 from blockspectra import (
     GraphError,
     are_isomorphic,
@@ -224,6 +225,17 @@ class TestEnumerateConnected:
         gs = list(enumerate_connected_graphs(5))
         for a, b in itertools.combinations(gs, 2):
             assert not are_isomorphic(a, b)
+
+    def test_count_and_order_n8(self):
+        """Order 8, past the public cap: 11117 classes (OEIS A001349), in the
+        order and with the representatives that canonicalising each child on
+        its own gave."""
+        classes = families._grown_classes(8, True)
+        assert len(classes) == 11117
+        text = "".join(format_edge_list(g) for g in classes)
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "2e95d31fc745a58c00b4c7907b0f78a6f943ac0be32a3b812c0ff5e81de9f2f5"
+        )
 
 
 class TestEnumerateCliqueTrees:

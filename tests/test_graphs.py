@@ -4,7 +4,8 @@ Oracles used here are independent of the implementation under test:
 Floyd-Warshall and a queue BFS for distances, delete-and-probe for cut
 vertices, a search over every vertex subset for blocks, full permutation
 search for isomorphism and automorphisms, and colour refinement by sorted
-neighbour-colour tuples for the bitset cell refinement.
+neighbour-colour tuples for the bitset cell refinement. The batched
+canonical forms are checked against canonical_form run alone.
 """
 
 import collections
@@ -589,3 +590,106 @@ class TestCanonicalForm:
         # n! leaves, here and on the complement (K12's is edgeless)
         assert canonical_form(relabelled(g, random.Random(0))) == canonical_form(g)
         assert not are_isomorphic(g, complement(g))
+
+
+def fresh(g):
+    """An uncached copy of g: same labels, no form or generators yet."""
+    return graphs.Graph(g.n, g.rows)
+
+
+@pytest.fixture
+def searched_alone(monkeypatch):
+    """The uncached graphs canonical_form searches, in call order; the batch
+    leaves these to it."""
+    calls = []
+    alone = graphs.canonical_form
+
+    def counted(g):
+        if "_canon" not in g.__dict__:
+            calls.append(g)
+        return alone(g)
+
+    monkeypatch.setattr(graphs, "canonical_form", counted)
+    return calls
+
+
+def petersen():
+    outer = [(i, (i + 1) % 5) for i in range(5)]
+    inner = [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
+    return from_edge_list(10, outer + inner + [(i, 5 + i) for i in range(5)])
+
+
+def cube():
+    return from_edge_list(8, [(u, u ^ 1 << b) for u in range(8) for b in range(3) if u < u ^ 1 << b])
+
+
+K33 = from_edge_list(6, [(u, v) for u in range(3) for v in range(3, 6)])
+TWO_TRIANGLES = from_edge_list(6, [(0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5)])
+
+
+class TestBatchedForms:
+    """_canonical_forms against canonical_form alone, run on fresh copies:
+    the same forms and the same generators, in the same order."""
+
+    @staticmethod
+    def assert_same_as_alone(graph_list):
+        batch = [fresh(g) for g in graph_list]
+        forms = graphs._canonical_forms(batch)
+        for g, h, form in zip(graph_list, batch, forms):
+            alone = fresh(g)
+            assert form == canonical_form(alone), format_edge_list(g)
+            assert graphs._automorphisms(h) == graphs._automorphisms(alone), format_edge_list(g)
+
+    def test_pinned_classes_and_relabelled_copies(self, searched_alone):
+        rng = random.Random(11)
+        classes = [
+            *(g for n in range(1, 8) for g in enumerate_connected_graphs(n)),
+            *enumerate_trees(12),
+            *(g for s in range(1, 10) for g in enumerate_clique_trees(10, s)),
+        ]
+        copies = [relabelled(g, rng) for g in classes]
+        del searched_alone[:]
+        self.assert_same_as_alone(classes + copies)
+        # the batch leaves the 126 of the 3087 classes whose search goes
+        # deeper than one branching, and their copies, to canonical_form
+        assert len(classes) == 3087
+        assert len(searched_alone) == 2 * 126
+
+    def test_searches_deeper_than_one_branching(self, searched_alone):
+        rng = random.Random(3)
+        deep = [*(cycle_graph(n) for n in range(5, 13)), petersen(), cube()]
+        shallow = [K33, TWO_TRIANGLES]
+        deep_copies = [relabelled(g, rng) for g in deep]
+        self.assert_same_as_alone(deep + shallow + deep_copies + [relabelled(g, rng) for g in shallow])
+        # the batch leaves the cycles, the Petersen graph and the cube, and
+        # their copies, to canonical_form; K3,3 and 2K3 have their leaves one
+        # branching below the root
+        assert searched_alone == deep + deep_copies
+
+    def test_mixed_orders_and_cached_graphs(self):
+        rng = random.Random(7)
+        cached = [path_graph(4), complete_graph(3), cycle_graph(6)]
+        before = [canonical_form(g) for g in cached]
+        mixed = [*cached, *(random_graph(rng, rng.randint(1, 9)) for _ in range(60))]
+        forms = graphs._canonical_forms(mixed)
+        assert all(a is b for a, b in zip(forms, before))
+        self.assert_same_as_alone(mixed)
+
+    def test_one_graph_search_above_the_limit_and_for_a_batch_of_one(self, searched_alone):
+        rng = random.Random(13)
+        large = [random_graph(rng, n) for n in (13, 13, 14)]
+        single = [random_graph(rng, 7)]
+        graphs._canonical_forms(large)
+        graphs._canonical_forms(single)
+        assert searched_alone == large + single
+        del searched_alone[:]
+        self.assert_same_as_alone(large + single)
+
+    def test_connected_n7_searches_alone_are_pinned(self, searched_alone):
+        """How many children the n = 7 growth step leaves to the one-graph
+        search. Falling back on it silently for more of them fails here."""
+        families._grown_classes(6, True)
+        del searched_alone[:]
+        grown = families._grown_classes.__wrapped__(7, True)
+        assert [g.rows for g in grown] == [g.rows for g in families._grown_classes(7, True)]
+        assert len(searched_alone) == 74

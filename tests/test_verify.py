@@ -5,6 +5,7 @@ small counterexamples, and the harness must report them as violations rather
 than pass.
 """
 
+import concurrent.futures
 import itertools
 import json
 import random
@@ -86,7 +87,9 @@ class TestDispatch:
             run_check("X9.9")
 
     def test_jobs_are_capped_at_the_cpu_count(self, monkeypatch):
-        """The pool records its size and runs the chunks in this process."""
+        """The pool records its size and runs the chunks in this process.
+        _run_family imports the pool class from concurrent.futures when it
+        needs one, so the fake replaces it there."""
         sizes = []
 
         class Pool:
@@ -102,7 +105,7 @@ class TestDispatch:
             def map(self, fn, chunks):
                 return map(fn, chunks)
 
-        monkeypatch.setattr(verify, "ProcessPoolExecutor", Pool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
         monkeypatch.setattr(verify.os, "cpu_count", lambda: 3)
         report = run_check("T2.4", n=6, jobs=100000)
         assert sizes == [3]
