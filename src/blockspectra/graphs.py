@@ -3,14 +3,13 @@
 Vertices are always labeled 0..n-1. Adjacency is one Python int bitmask per
 vertex, which keeps complement, the one single-source BFS (_bfs_row) and
 block routines exact and cheap for n up to a few hundred. canonical_form
-alone decides isomorphism: equal forms iff isomorphic. Its search refines
-ordered partitions of vertex bitmasks, a neighbour count in a cell being one
-AND and a popcount, and prunes by _orbit, the one orbit closure on bitmasks.
-_canonical_forms gives the same forms and generators for a list of graphs:
-it runs the refinement of each order's root partitions, and of every child
-one branching below them, on numpy stacks, replays the search over those
-leaves graph by graph, and leaves deeper searches to canonical_form.
-"""
+alone decides isomorphism: equal forms iff isomorphic. _canonical_forms runs
+its one search for any list of graphs, a graph alone being a list of one:
+each graph's search is a generator that asks for one partition per node,
+and each round refines every partition asked for, one numpy stack per
+order, with exact integer keys, and relabels them as leaves. The search's
+choices run per graph in Python; it prunes by _orbit, the one orbit closure
+on bitmasks."""
 
 from __future__ import annotations
 
@@ -211,46 +210,6 @@ def block_decomposition(g):
     return BlockDecomposition(tuple(blocks), frozenset(cuts))
 
 
-def _refine(rows, cells, split):
-    """Refine an ordered partition of vertex bitmasks, which must refine the
-    degree partition, until it is equitable and no cell splits.
-
-    split lists the cells whose neighbour counts may still tell two vertices
-    of one cell apart; a count in any other cell is the same for the whole
-    cell or follows from counts in split cells before it. Each round keys
-    every vertex of a non-singleton cell by its negated counts in the split
-    cells and puts the cell's pieces in ascending key order. All pieces but
-    the last split the next round: a count in the last is the count in the
-    old cell less those in the others. Vertices of one cell have one degree,
-    so the key sorts as their sorted tuples of neighbour cell indices do:
-    each round gives the ordered partition that keying every vertex by
-    (cell, sorted neighbour cells) would, which depends only on the
-    structure and the input, never on vertex labels.
-    """
-    while split:
-        out, pieces = [], []
-        for cell in cells:
-            if not cell & cell - 1:
-                out.append(cell)
-                continue
-            by_key = {}
-            rest = cell
-            while rest:
-                low = rest & -rest
-                rest ^= low
-                r = rows[low.bit_length() - 1]
-                key = tuple([-(r & s).bit_count() for s in split])
-                by_key[key] = by_key.get(key, 0) | low
-            if len(by_key) == 1:
-                out.append(cell)
-            else:
-                new = [by_key[k] for k in sorted(by_key)]
-                out += new
-                pieces += new[:-1]
-        cells, split = out, pieces
-    return cells
-
-
 def _twins(rows):
     """twin[v], the least twin of v.
 
@@ -261,9 +220,11 @@ def _twins(rows):
     first = {}
     twin = []
     for v, r in enumerate(rows):
-        u = first.get(r, first.get(r | 1 << v, v))
-        if u == v:
-            first[r] = first[r | 1 << v] = v
+        u = first.get(r)
+        if u is None:
+            u = first.setdefault(r | 1 << v, v)
+            if u == v:
+                first[r] = v
         twin.append(u)
     return twin
 
@@ -287,96 +248,29 @@ def canonical_form(g):
     invariant. matrix is the least relabelled adjacency matrix, its rows
     read as one n*n-bit integer, over the leaves of an
     individualisation-refinement search (McKay & Piperno, J. Symb. Comput.
-    2014) on ordered lists of cell bitmasks, refined by _refine. The root is
-    the degree cells in ascending degree. At each node the search takes the
+    2014) on ordered partitions, refined by _refine_stack. The root is the
+    degree cells in ascending degree. At each node the search takes the
     first cell with the fewest twin classes, two at least, and for each of
     its vertices v puts {v} before the rest of the cell, refines, and
     recurses. A node whose cells are each a single twin class has only
     automorphic leaves, so it is one leaf: its vertices in cell order, each
-    cell ascending, rows relabelled from the bitsets.
+    cell ascending.
 
     The search collects generators of automorphisms as it goes: the twin
-    transpositions, built at the first orbit test, and the map from the best
+    transpositions, built at the first branching, and the map from the best
     leaf to any leaf with an equal matrix. It skips a branch vertex in the
     orbit of an explored sibling under the generators that fix the current
     path pointwise. That subtree is an automorphic image of one already
     searched, with the same leaf matrices, so the pruning never changes the
     form. The form and the leaf generators are cached per graph.
     """
-    cached = g.__dict__.get("_canon")
-    if cached is not None:
-        return cached
-    n, rows = g.n, g.rows
-    by_degree = {}
-    for v, r in enumerate(rows):
-        d = r.bit_count()
-        by_degree[d] = by_degree.get(d, 0) | 1 << v
-    cells = [by_degree[d] for d in sorted(by_degree)]
-    # a count in the last degree cell is the degree less the counts in the others
-    cells = _refine(rows, cells, cells[:-1])
-    colors = [i for i, c in enumerate(cells) for _ in range(c.bit_count())]
-    signature = (n, sum(map(int.bit_count, rows)) // 2, tuple(colors))
-    twin = swaps = None
-    gens = []
-    best = best_order = None
-    # one frame per open node: (path, cells, index of the branch cell,
-    # unexplored branch vertices, explored branch vertices as bitmasks)
-    frames = []
-    node = ((), cells)
-    while node is not None:
-        path, cells = node
-        width = 0
-        if len(cells) < n:
-            if twin is None:
-                twin = _twins(rows)
-            widths = [len({twin[v] for v in _bits(c)}) if c & c - 1 else 1 for c in cells]
-            width = min((w for w in widths if w > 1), default=0)
-        if width:
-            i = widths.index(width)
-            frames.append((path, cells, i, _bits(cells[i]), []))
-        else:
-            if len(cells) == n:
-                order = [c.bit_length() - 1 for c in cells]
-            else:
-                order = [v for c in cells for v in _bits(c)]
-            bit = {1 << v: 1 << i for i, v in enumerate(order)}
-            leaf = 0
-            for v in order:
-                r, image = rows[v], 0
-                while r:
-                    low = r & -r
-                    r ^= low
-                    image |= bit[low]
-                leaf = leaf << n | image
-            if best is None or leaf < best:
-                best, best_order = leaf, order
-            elif leaf == best:
-                perm = [0] * n
-                for u, v in zip(best_order, order):
-                    perm[u] = v
-                gens.append(tuple(perm))
-        node = None
-        while frames and node is None:
-            path, cells, i, todo, explored = frames[-1]
-            v = next(todo, None)
-            if v is None:
-                frames.pop()
-                continue
-            if explored:
-                swaps = swaps if swaps is not None else _swaps(twin)
-                fixing = [p for p in swaps + gens if all(p[u] == u for u in path)]
-                if 1 << v in _orbit(explored, fixing):
-                    continue
-            explored.append(1 << v)
-            # the parent is equitable; a count in the rest of the cell is
-            # the count in the cell less the one in {v}
-            pair = [1 << v, cells[i] ^ 1 << v]
-            node = (path + (v,), _refine(rows, cells[:i] + pair + cells[i + 1:], pair[:1]))
-    result = (signature, best)
-    g.__dict__["_canon"] = result
-    if gens:
-        g.__dict__["_leaf_auts"] = tuple(gens)
-    return result
+    return _canonical_forms([g])[0]
+
+
+def are_isomorphic(g, h):
+    """Exact isomorphism test: equal canonical forms."""
+    form, other = _canonical_forms([g, h])
+    return form == other
 
 
 def _orbit(masks, perms):
@@ -407,28 +301,113 @@ def _automorphisms(g):
     return _swaps(_twins(g.rows)) + list(g.__dict__.get("_leaf_auts", ()))
 
 
-# Largest order canonicalised in a batch: a refinement key of order n is an
-# integer below (n + 1) ** (n + 1), exact in float64 up to n = 12.
-BATCH_MAX_ORDER = 12
-
-
 def _canonical_forms(graphs):
     """canonical_form of each graph, in order.
 
-    The uncached graphs of each order up to BATCH_MAX_ORDER, when the call
-    holds two or more, are searched together by _search_level. A graph it
-    leaves uncached, because its search goes deeper than one branching, and
-    every other graph go to canonical_form alone.
+    The root partitions of each order are refined in one stack, and a root
+    that is a leaf is the whole search. Every other graph's search is a
+    _search generator; they run in lockstep rounds, each refining the
+    partitions asked for in one _refine_stack call per order, reading them
+    with _nodes and sending each search its node. No search sees another,
+    so no form or generator depends on the graphs searched with it.
     """
     graphs = list(graphs)
     levels = {}
-    for g in graphs:
-        if g.n <= BATCH_MAX_ORDER and "_canon" not in g.__dict__:
-            levels.setdefault(g.n, []).append(g)
-    for level in levels.values():
-        if len(level) > 1:
-            _search_level(level)
-    return [canonical_form(g) for g in graphs]
+    for g in {id(g): g for g in graphs if "_canon" not in g.__dict__}.values():
+        levels.setdefault(g.n, []).append(g)
+    stacks, sends = {}, []  # sends: (order, index in its stack, search, node to send it)
+    for n, level in levels.items():
+        # kept as bools, and as float64 only while a round refines
+        adj = _bit_stack(level, n)
+        twins = [_twins(g.rows) for g in level]
+        stacks[n] = adj != 0, np.array(twins)
+        cells = _refine_stack(adj, adj.sum(-1).astype(np.int64))
+        # the signature's cell number of each place: cells starting up to it, less one
+        starts = np.zeros(cells.shape, dtype=bool)
+        starts[np.arange(len(level))[:, None], cells] = True
+        colors = (starts[:, None, :] & (np.arange(n) <= np.arange(n)[:, None])).sum(-1) - 1
+        roots = zip(level, twins, adj.sum((-2, -1)).tolist(), colors.tolist(),
+                    _nodes(*stacks[n], cells))
+        for k, (g, twin, twice_m, c, root) in enumerate(roots):
+            signature = (n, int(twice_m) // 2, tuple(c))
+            if root[2]:
+                sends.append((n, k, _search(g, twin, root, signature), None))
+            else:
+                g.__dict__["_canon"] = (signature, root[3])
+    while sends:
+        rounds = {}
+        for n, k, search, node in sends:
+            request = search.send(node)
+            if request:
+                rounds.setdefault(n, []).append((k, search, *request))
+        sends = []
+        for n, requests in rounds.items():
+            ks, searches, parents, v = zip(*requests)
+            adj, twin = (stack[list(ks)] for stack in stacks[n])
+            parents, v = np.array(parents), np.array(v)[:, None]
+            # {v} keeps the index of its cell and the rest of the cell
+            # takes the next one, which no cell has
+            rest = (parents == parents[np.arange(len(v))[:, None], v]) & (np.arange(n) != v)
+            cells = _refine_stack(adj.astype(np.float64), parents + rest)
+            nodes = _nodes(adj, twin, cells)
+            sends += [(n, k, search, node) for k, search, node in zip(ks, searches, nodes)]
+    return [g.__dict__["_canon"] for g in graphs]
+
+
+def _search(g, twin, node, signature):
+    """canonical_form's depth-first search of g, twin from _twins, from its
+    root node: it yields (cells, v) for the child of the node with partition
+    cells whose branch vertex is v, is sent that child's node as _nodes
+    reads it, and at the end caches the form and generators and yields
+    None.
+
+    Each open node keeps the orbit of its explored branch vertices under the
+    generators fixing its path, extended as siblings are explored and closed
+    again only when a leaf finds a new generator that fixes the path.
+    """
+    swaps = None
+    gens = []
+    best = best_order = None
+    # one frame per open node: [path, cells, unexplored branch vertices, the
+    # generators fixing the path, how many of gens they reflect, the orbit
+    # of the explored branch vertices as a set of bitmasks]
+    frames = []
+    path = ()
+    while node is not None:
+        cells, order, branch, leaf = node
+        if branch:
+            swaps = _swaps(twin) if swaps is None else swaps
+            fixing = [p for p in swaps + gens if all(p[u] == u for u in path)]
+            frames.append([path, cells, iter(branch), fixing, len(gens), set()])
+        elif best is None or leaf < best:
+            best, best_order = leaf, order
+        elif leaf == best:
+            perm = [0] * len(order)
+            for u, v in zip(best_order, order):
+                perm[u] = v
+            gens.append(tuple(perm))
+        node = None
+        while frames and node is None:
+            frame = frames[-1]
+            path, cells, todo, fixing, known, orbit = frame
+            v = next(todo, None)
+            if v is None:
+                frames.pop()
+                continue
+            new = [p for p in gens[known:] if all(p[u] == u for u in path)]
+            frame[4] = len(gens)
+            if new:
+                fixing += new
+                orbit |= _orbit(orbit, fixing)
+            if 1 << v in orbit:
+                continue
+            orbit |= _orbit((1 << v,), fixing)
+            path += (v,)
+            node = yield cells, v
+    g.__dict__["_canon"] = (signature, best)
+    if gens:
+        g.__dict__["_leaf_auts"] = tuple(gens)
+    yield None
 
 
 def _bit_stack(graphs, n):
@@ -440,165 +419,85 @@ def _bit_stack(graphs, n):
     return bits.reshape(len(graphs), n, 8 * width)[:, :, :n].astype(np.float64, order="C")
 
 
-def _ranks(keys):
-    """How many keys of its row, the last axis, are less than each key: equal
-    keys share a rank and ranks keep the keys' order. As cell indices the
-    ranks give the ordered partition the keys do."""
-    return (keys[..., None, :] < keys[..., :, None]).sum(-1)
-
-
 def _refine_stack(adj, cells):
-    """_refine for a stack of ordered partitions: cells[..., v] is the _ranks
-    index of v's cell and adj[..., v, u] the float64 adjacency, broadcast
-    against cells. Each round keys a vertex by (cell, negated neighbour count
-    per cell), read as one integer in base n + 1, and the ranks of the keys
-    of each graph are its new cells, until no cell splits. That is the
-    ordered partition _refine documents."""
+    """Refine a stack of ordered partitions until each is equitable and no
+    cell splits: cells[b, v] is the cell index of v in the graph adj[b], and
+    the partitions must refine the degree partition. Degrees serve as the
+    root's cell indices; the result's cell indices are ranks, a cell's index
+    being the number of vertices in the cells before it.
+
+    Each round keys every vertex by its cell, then by its negated neighbour
+    count in each cell in cell order, and a vertex's new cell index is the
+    number of vertices of its graph with a lesser key. Vertices of one cell
+    have one degree, so the key sorts as their sorted tuples of neighbour
+    cell indices do: each round gives the ordered partition that keying
+    every vertex by (cell, sorted neighbour cells) would, which depends only
+    on the structure and the input, never on vertex labels.
+
+    A key is the digits (cell, count in the first cell, count in the
+    second, ...) in base n + 1, read as one number per chunk of `digits` of
+    them, so one float64 matrix product gives every chunk. A chunk, and
+    every partial sum of it, is an integer below 2 ** 52, so the product is
+    exact, and chunks compare in turn, the first chunk first; a larger n
+    only means more chunks.
+    """
     n = cells.shape[-1]
-    # a cell's own digit, and the place value of a count in it
-    high = np.array([c * (n + 1) ** n for c in range(n)], dtype=np.float64)
-    low = np.array([(n + 1) ** (n - 1 - c) for c in range(n)], dtype=np.float64)
+    digits = 52 // (n + 1).bit_length()
+    # weight[d, j]: minus the place value of key digit d in chunk j
+    weight = np.zeros((n + 1, n // digits + 1))
+    for d in range(n + 1):
+        weight[d, d // digits] = -(n + 1) ** (digits - 1 - d % digits)
+    digit = np.arange(1, n + 1)  # the count in the cell with index c is digit c + 1
     while True:
-        keys = high[cells] - (adj @ low[cells][..., None])[..., 0]
-        refined = _ranks(keys)
-        if np.array_equal(refined, cells):
+        if n >= digits:
+            # more than one chunk: number only the cells present in the stack
+            present = np.bincount(cells.ravel(), minlength=n) > 0
+            digit = (present & (np.arange(n) <= np.arange(n)[:, None])).sum(-1)
+        place = weight[:, :digit[-1] // digits + 1]
+        keys = adj @ place[digit[cells]]
+        keys[..., 0] -= place[0, 0] * cells
+        # less[..., v, u]: u's key is less than v's, decided by the most
+        # significant chunk in which they differ
+        less = None
+        for j in range(keys.shape[-1] - 1, -1, -1):
+            mine, other = keys[..., :, None, j], keys[..., None, :, j]
+            less = other < mine if less is None else (other < mine) | ((other == mine) & less)
+        # a bool stack times ones counts along rows, as sum does, but faster
+        refined = (less @ np.ones(n)).astype(np.int64)
+        if (refined == cells).all():
             return cells
         cells = refined
 
 
-def _cell_order(cells):
-    """place[..., v], the position of v when the vertices are listed in cell
-    order, each cell ascending, and order, the vertex at each position."""
-    n = cells.shape[-1]
-    earlier = np.arange(n) < np.arange(n)[:, None]
-    place = cells + ((cells[..., :, None] == cells[..., None, :]) & earlier).sum(-1)
-    order = np.empty_like(place)
-    np.put_along_axis(order, place, np.arange(n), -1)
-    return place, order
-
-
-def _widths(cells, twin):
-    """The number of vertices and of twin classes in each cell, indexed by
-    the cell's _ranks index and 0 at an index no cell has; twin[..., v] is
-    the least twin of v, broadcast against cells."""
-    n = cells.shape[-1]
-    earlier = np.arange(n) < np.arange(n)[:, None]
-    same = (cells[..., :, None] == cells[..., None, :]) & (twin[..., :, None] == twin[..., None, :])
-    member = cells[..., :, None] == np.arange(n)
-    first = ~(same & earlier).any(-1)
-    return member.sum(-2), (member & first[..., None]).sum(-2)
-
-
-def _leaf_rows(adj, place):
-    """The rows of adj relabelled by a leaf's vertex places, in place order,
-    row i holding bit j iff the vertices at places i and j are adjacent."""
-    n = place.shape[-1]
-    bit = np.array([1 << j for j in range(n)], dtype=np.float64)
-    image = (adj @ bit[place][..., None])[..., 0].astype(np.int64)
-    rows = np.empty_like(image)
-    np.put_along_axis(rows, place, image, -1)
-    return rows
-
-
-def _search_level(batch):
-    """Cache canonical_form's form and generators for each graph of batch,
-    all of one order, whose search stops at the root or one branching below
-    it; leave the others uncached.
-
-    numpy stacks refine the root partitions of all the graphs at once, then
-    those of every child of their roots, each branch vertex individualised.
-    Only the search's choices, its orbit pruning and leaf comparisons, run
-    per graph, over the precomputed leaves. Cells are _ranks indices, so a
-    cell's index is the place of its first vertex in the leaf order.
-    """
-    n = batch[0].n
-    adj = _bit_stack(batch, n)
-    cells = _refine_stack(adj, _ranks(adj.sum(-1)))
-    # twin[:, v], the least twin of v as _twins finds it, comparing the open
-    # and the closed neighbourhoods read as numbers
-    bit = np.array([1 << v for v in range(n)], dtype=np.float64)
-    open_rows = adj @ bit
-    closed_rows = open_rows + bit
-    same = ((open_rows[:, :, None] == open_rows[:, None, :])
-            | (closed_rows[:, :, None] == closed_rows[:, None, :]))
-    twin = np.where(same, np.arange(n), n).min(-1)
-    sizes, widths = _widths(cells, twin)
-    # the signature's sorted cell indices: the cell holding place p is the
-    # last cell whose index is <= p, so it is cell number (their count - 1)
-    colors = ((sizes[:, None, :] > 0) & (np.arange(n) <= np.arange(n)[:, None])).sum(-1) - 1
-    edges = [sum(map(int.bit_count, g.rows)) // 2 for g in batch]
-    forms = [(n, m, tuple(c)) for m, c in zip(edges, colors.tolist())]
-    place, order = _cell_order(cells)
-    branching = widths.max(-1) > 1
-
-    at_root = np.flatnonzero(~branching)
-    images = _leaf_rows(adj[at_root], place[at_root])
-    for k, image in zip(at_root.tolist(), images.tolist()):
-        batch[k].__dict__["_canon"] = (forms[k], _leaf_int(image, n))
-
-    below = np.flatnonzero(branching)
-    if not below.size:
-        return
-    adj, cells, twin, order = adj[below, None], cells[below], twin[below], order[below]
-    # the first cell with the fewest twin classes, two at least, and its
-    # vertices ascending, the last repeated up to the largest such cell
-    i = np.where(widths[below] > 1, widths[below], n + 1).argmin(-1)[:, None]
-    size = sizes[below, i[:, 0]]
-    slot = np.arange(size.max())
-    branch = np.take_along_axis(order, i + np.minimum(slot, size[:, None] - 1), -1)
-    # each child puts {v} before the rest of the cell, whose index is then i + 1
-    child = cells[:, None, :]
-    picked = np.arange(n) == branch[..., None]
-    child = _refine_stack(adj, child + ((child == i[..., None]) & ~picked))
-    leafy = _widths(child, twin[:, None, :])[1].max(-1) <= 1
-    place, order = _cell_order(child)
-    images = _leaf_rows(adj, place)
-    per_graph = zip(below.tolist(), leafy.all(-1).tolist(), twin.tolist(), branch.tolist(),
-                    size.tolist(), images.tolist(), order.tolist())
-    for k, shallow, tw, vs, s, image, leaf_order in per_graph:
-        if shallow:
-            best, gens = _replay(tw, vs[:s], image, leaf_order)
-            g = batch[k]
-            g.__dict__["_canon"] = (forms[k], _leaf_int(best, n))
-            if gens:
-                g.__dict__["_leaf_auts"] = tuple(gens)
-
-
-def _replay(twin, branch, leaves, orders):
-    """canonical_form's search below a root whose children are all leaves:
-    branch lists the branch vertices ascending, leaves[j] the relabelled rows
-    and orders[j] the vertex order of branch[j]'s leaf. Returns the least
-    leaf's rows and the generators, with the same pruning and in the same
-    order as canonical_form."""
-    swaps, gens, explored = None, [], []
-    best = best_order = None
-    for v, leaf, order in zip(branch, leaves, orders):
-        if explored:
-            swaps = swaps if swaps is not None else _swaps(twin)
-            if 1 << v in _orbit(explored, swaps + gens):
-                continue
-        explored.append(1 << v)
-        if best is None or leaf < best:
-            best, best_order = leaf, order
-        elif leaf == best:
-            perm = [0] * len(order)
-            for u, w in zip(best_order, order):
-                perm[u] = w
-            gens.append(tuple(perm))
-    return best, gens
-
-
-def _leaf_int(rows, n):
-    """A leaf's relabelled rows as one n*n-bit integer, the first row highest."""
-    leaf = 0
-    for image in rows:
-        leaf = leaf << n | image
-    return leaf
-
-
-def are_isomorphic(g, h):
-    """Exact isomorphism test: equal canonical forms."""
-    return canonical_form(g) == canonical_form(h)
+def _nodes(adj, twin, cells):
+    """The search node (cells, order, branch, leaf) of each refined partition
+    cells[b] of the graph adj[b], a bool stack, twin[b, v] being the least
+    twin of v. order lists the vertices in cell order, each cell ascending,
+    and branch the vertices, ascending, of the first cell with the fewest
+    twin classes, two at least. A node with no such cell is a leaf, with
+    branch empty and leaf the relabelled matrix as an integer, bit
+    (n-1-i)*n + j set iff the vertices at places i and j are adjacent."""
+    size, n = cells.shape
+    rows = np.arange(size)[:, None]
+    peers = (cells[:, :, None] == cells[:, None, :]) & (np.arange(n) < np.arange(n)[:, None])
+    order = np.empty_like(cells)
+    order[rows, cells + peers.sum(-1)] = np.arange(n)
+    # a vertex no earlier vertex of its cell shares a least twin with is
+    # the first of a twin class of that cell
+    first = ~(peers & (twin[:, :, None] == twin[:, None, :])).any(-1)
+    widths = np.bincount((cells + n * rows)[first], minlength=size * n).reshape(size, n)
+    branch = np.where(widths > 1, widths, n + 1).argmin(-1)
+    span = np.where(widths.max(-1) > 1, (cells == branch[:, None]).sum(-1), 0)
+    # each leaf's rows in place order, each row's places descending, so the
+    # bits read row after row are the integer's from the highest
+    at = order[span == 0]
+    bits = adj[np.flatnonzero(span == 0)[:, None, None], at[:, :, None], at[:, None, ::-1]]
+    packed = np.packbits(bits.reshape(-1, n * n), axis=-1).tobytes()
+    width, pad = (n * n + 7) // 8, -n * n % 8
+    leaves = iter([int.from_bytes(packed[i:i + width], "big") >> pad
+                   for i in range(0, len(packed), width)])
+    return [(c, o, o[i:i + s], None if s else next(leaves))
+            for c, o, i, s in zip(cells.tolist(), order.tolist(), branch.tolist(), span.tolist())]
 
 
 def format_edge_list(g):

@@ -4,8 +4,8 @@ Oracles used here are independent of the implementation under test:
 Floyd-Warshall and a queue BFS for distances, delete-and-probe for cut
 vertices, a search over every vertex subset for blocks, full permutation
 search for isomorphism and automorphisms, and colour refinement by sorted
-neighbour-colour tuples for the bitset cell refinement. The batched
-canonical forms are checked against canonical_form run alone.
+neighbour-colour tuples for the stacked cell refinement. Forms found in a
+batch are checked against canonical_form run alone, a batch of one.
 """
 
 import collections
@@ -13,7 +13,9 @@ import hashlib
 import itertools
 import math
 import random
+import warnings
 
+import numpy as np
 import pytest
 from conftest import is_clique_tree, is_connected, neighbours
 
@@ -97,11 +99,12 @@ def tuple_refine(nbrs, colors):
 
 
 def as_cells(colors):
-    """The ordered partition of colour ranks, as vertex bitmasks."""
+    """The ordered partition of colour ranks or cell indices, as vertex
+    bitmasks."""
     cells = [0] * (max(colors) + 1)
     for v, c in enumerate(colors):
         cells[c] |= 1 << v
-    return cells
+    return [c for c in cells if c]
 
 
 def brute_isomorphic(g, h):
@@ -514,29 +517,47 @@ class TestCanonicalForm:
 
     def test_refinement_matches_the_tuple_key_oracle(self):
         """The same ordered partition from the degree partition and from
-        every single-vertex individualisation of its refinement, the two ways
-        the search calls _refine."""
+        every single-vertex individualisation of its refinement, the two
+        inputs the search gives _refine_stack, at orders 1 to 30; each
+        graph's individualisations are refined as one stack."""
         rng = random.Random(29)
+        orders = [rng.randint(1, 12) for _ in range(500)] + [rng.randint(13, 30) for _ in range(60)]
         branches = 0
-        for _ in range(500):
-            g = random_graph(rng, rng.randint(1, 12), rng.uniform(0.05, 0.95))
+        for n in orders:
+            g = random_graph(rng, n, rng.uniform(0.05, 0.95))
             nbrs = neighbours(g)
             degrees = [len(a) for a in nbrs]
-            ranks = sorted(set(degrees))
-            cells = as_cells([ranks.index(d) for d in degrees])
-            cells = graphs._refine(g.rows, cells, cells[:-1])
+            adj = graphs._bit_stack([g], n)
+            cells = graphs._refine_stack(adj, np.array([degrees]))
             colors = tuple_refine(nbrs, degrees)
-            assert cells == as_cells(colors), format_edge_list(g)
-            for i, cell in enumerate(cells):
-                if not cell & cell - 1:
-                    continue
-                for v in graphs._bits(cell):
-                    pair = [1 << v, cell ^ 1 << v]
-                    got = graphs._refine(g.rows, cells[:i] + pair + cells[i + 1:], pair[:1])
-                    want = tuple_refine(nbrs, [2 * c + (u != v) for u, c in enumerate(colors)])
-                    assert got == as_cells(want), (format_edge_list(g), v)
-                    branches += 1
-        assert branches > 1000
+            assert as_cells(cells[0].tolist()) == as_cells(colors), format_edge_list(g)
+            split = [v for v in range(n) if colors.count(colors[v]) > 1]
+            if not split:
+                continue
+            # {v} keeps its cell's index and the rest of the cell takes the next
+            own = np.array(split)[:, None] == np.arange(n)
+            children = cells + ((cells == cells[0, split][:, None]) & ~own)
+            got = graphs._refine_stack(np.repeat(adj, len(split), 0), children)
+            for v, row in zip(split, got.tolist()):
+                want = tuple_refine(nbrs, [2 * c + (u != v) for u, c in enumerate(colors)])
+                assert as_cells(row) == as_cells(want), (format_edge_list(g), v)
+                branches += 1
+        assert branches > 1500
+
+    def test_canonical_search_raises_no_warnings(self):
+        # an overflowing or lossy numpy operation in the search warns;
+        # warnings as errors make it fail here instead of passing silently
+        classes = [
+            *(g for n in range(1, 8) for g in enumerate_connected_graphs(n)),
+            *enumerate_trees(12),
+            *(g for s in range(1, 10) for g in enumerate_clique_trees(10, s)),
+            *random_clique_trees(range(13, 41), 19),
+        ]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            graphs._canonical_forms([fresh(g) for g in classes])
+            for g in classes[::25]:
+                canonical_form(fresh(g))
 
     def test_found_automorphisms_match_brute_force(self):
         """Vertex orbits and subset orbits, connected classes of order <= 6.
@@ -561,20 +582,37 @@ class TestCanonicalForm:
 
     def test_orbit_pruning_bounds_the_search(self, monkeypatch):
         # without orbit pruning, k interchangeable end cliques that are not
-        # twins cost about e * k! refinements, millions at k = 10; with it,
-        # 175 per form
-        refine = graphs._refine
-        calls = [0]
+        # twins cost about e * k! search nodes, millions at k = 10; with it,
+        # 175 per form. Each node is one partition the kernel refines.
+        refine = graphs._refine_stack
+        partitions = [0]
 
-        def counted(*args):
-            calls[0] += 1
-            if calls[0] > 500:
-                raise AssertionError("canonical_form took more than 500 refinements")
-            return refine(*args)
+        def counted(adj, cells):
+            partitions[0] += len(cells)
+            if partitions[0] > 500:
+                raise AssertionError("canonical_form refined more than 500 partitions")
+            return refine(adj, cells)
 
-        monkeypatch.setattr(graphs, "_refine", counted)
+        monkeypatch.setattr(graphs, "_refine_stack", counted)
         g = clique_star((3,) * 10, 3, 3)
         assert canonical_form(relabelled(g, random.Random(1))) == canonical_form(g)
+        assert partitions[0] == 2 * 175
+
+    def test_orbit_sets_are_kept_per_node(self, monkeypatch):
+        # closing the explored siblings' orbit afresh for every sibling cost
+        # 849 908 mask-generator pairs on this star; one orbit set per node,
+        # closed again only when new generators fix its path, costs 91 498
+        orbit = graphs._orbit
+        work = [0]
+
+        def counted(masks, perms):
+            masks, perms = list(masks), list(perms)
+            work[0] += len(masks) * len(perms)
+            return orbit(masks, perms)
+
+        monkeypatch.setattr(graphs, "_orbit", counted)
+        canonical_form(clique_star((3,) * 20, 3, 3))
+        assert 0 < work[0] < 300_000
 
     @pytest.mark.parametrize(
         "g",
@@ -597,22 +635,6 @@ def fresh(g):
     return graphs.Graph(g.n, g.rows)
 
 
-@pytest.fixture
-def searched_alone(monkeypatch):
-    """The uncached graphs canonical_form searches, in call order; the batch
-    leaves these to it."""
-    calls = []
-    alone = graphs.canonical_form
-
-    def counted(g):
-        if "_canon" not in g.__dict__:
-            calls.append(g)
-        return alone(g)
-
-    monkeypatch.setattr(graphs, "canonical_form", counted)
-    return calls
-
-
 def petersen():
     outer = [(i, (i + 1) % 5) for i in range(5)]
     inner = [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
@@ -628,8 +650,9 @@ TWO_TRIANGLES = from_edge_list(6, [(0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5
 
 
 class TestBatchedForms:
-    """_canonical_forms against canonical_form alone, run on fresh copies:
-    the same forms and the same generators, in the same order."""
+    """_canonical_forms against canonical_form alone, a batch of one, run on
+    fresh copies: the same forms and the same generators, in the same order,
+    whatever the other graphs of the batch."""
 
     @staticmethod
     def assert_same_as_alone(graph_list):
@@ -640,7 +663,7 @@ class TestBatchedForms:
             assert form == canonical_form(alone), format_edge_list(g)
             assert graphs._automorphisms(h) == graphs._automorphisms(alone), format_edge_list(g)
 
-    def test_pinned_classes_and_relabelled_copies(self, searched_alone):
+    def test_pinned_classes_and_relabelled_copies(self):
         rng = random.Random(11)
         classes = [
             *(g for n in range(1, 8) for g in enumerate_connected_graphs(n)),
@@ -648,23 +671,15 @@ class TestBatchedForms:
             *(g for s in range(1, 10) for g in enumerate_clique_trees(10, s)),
         ]
         copies = [relabelled(g, rng) for g in classes]
-        del searched_alone[:]
-        self.assert_same_as_alone(classes + copies)
-        # the batch leaves the 126 of the 3087 classes whose search goes
-        # deeper than one branching, and their copies, to canonical_form
         assert len(classes) == 3087
-        assert len(searched_alone) == 2 * 126
+        self.assert_same_as_alone(classes + copies)
 
-    def test_searches_deeper_than_one_branching(self, searched_alone):
+    def test_searches_deeper_than_one_branching(self):
         rng = random.Random(3)
         deep = [*(cycle_graph(n) for n in range(5, 13)), petersen(), cube()]
         shallow = [K33, TWO_TRIANGLES]
         deep_copies = [relabelled(g, rng) for g in deep]
         self.assert_same_as_alone(deep + shallow + deep_copies + [relabelled(g, rng) for g in shallow])
-        # the batch leaves the cycles, the Petersen graph and the cube, and
-        # their copies, to canonical_form; K3,3 and 2K3 have their leaves one
-        # branching below the root
-        assert searched_alone == deep + deep_copies
 
     def test_mixed_orders_and_cached_graphs(self):
         rng = random.Random(7)
@@ -675,21 +690,44 @@ class TestBatchedForms:
         assert all(a is b for a, b in zip(forms, before))
         self.assert_same_as_alone(mixed)
 
-    def test_one_graph_search_above_the_limit_and_for_a_batch_of_one(self, searched_alone):
+    def test_orders_above_twelve_and_a_batch_of_one(self):
         rng = random.Random(13)
         large = [random_graph(rng, n) for n in (13, 13, 14)]
         single = [random_graph(rng, 7)]
-        graphs._canonical_forms(large)
-        graphs._canonical_forms(single)
-        assert searched_alone == large + single
-        del searched_alone[:]
         self.assert_same_as_alone(large + single)
+        self.assert_same_as_alone(single)
 
-    def test_connected_n7_searches_alone_are_pinned(self, searched_alone):
-        """How many children the n = 7 growth step leaves to the one-graph
-        search. Falling back on it silently for more of them fails here."""
-        families._grown_classes(6, True)
-        del searched_alone[:]
-        grown = families._grown_classes.__wrapped__(7, True)
-        assert [g.rows for g in grown] == [g.rows for g in families._grown_classes(7, True)]
-        assert len(searched_alone) == 74
+
+def random_clique_trees(orders, seed):
+    """A random clique tree of each order, with a random block count."""
+    rng = random.Random(seed)
+    return [families.random_clique_tree(n, rng.randint(1, n - 1), rng.randrange(10**6))
+            for n in orders]
+
+
+class TestOrdersAboveTwelve:
+    """The search has no order limit. Relabelled copies share a form, and
+    graphs with different degree sequences, which cannot be isomorphic, do
+    not. Forms of order 120 and more are compared, never printed: their
+    matrix has more digits than int's repr allows."""
+
+    def test_random_clique_trees_of_order_13_to_40(self):
+        rng = random.Random(17)
+        trees = random_clique_trees(range(13, 41), 19)
+        copies = [relabelled(g, rng) for g in trees]
+        for g, h in zip(trees, copies):
+            assert canonical_form(h) == canonical_form(g)
+            assert are_isomorphic(g, h)
+        for g, h in zip(trees, random_clique_trees(range(13, 41), 23)):
+            if sorted(map(int.bit_count, g.rows)) != sorted(map(int.bit_count, h.rows)):
+                assert not are_isomorphic(g, h)
+
+    def test_clique_star_of_order_127(self):
+        g = clique_star((10,) * 12, 10, 10)
+        h = relabelled(g, random.Random(2))
+        same = canonical_form(h) == canonical_form(g)
+        assert g.n == 127 and same and are_isomorphic(g, h)
+        # the clique path on the same fourteen K10 blocks has the same order
+        # and size
+        path = families.clique_path((10,) * 14)
+        assert (path.n, path.m) == (g.n, g.m) and not are_isomorphic(g, path)
