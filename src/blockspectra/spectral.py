@@ -290,16 +290,15 @@ def _power_stack(a, tol):
     and norm, and each row gets the bits it gets alone. The residual is
     computed only for rows whose Rayleigh quotient moved by less than tol.
     Returns one EigenPair per row, or None for a row that leaves the batch:
-    a zero matrix, an iterate in the kernel of m + cI, or a row at the 100*n
-    cap.
+    an iterate in the kernel of m + cI, which a zero matrix's first iterate
+    is, or a row at the 100*n cap.
     """
     count, n, _ = a.shape
     out = [None] * count
+    rows = np.arange(count)
     c = np.abs(a).sum(axis=2).max(axis=1)
-    rows = np.flatnonzero(c > 0)
-    a, c = a[rows], c[rows]
     floor = 1e-12 * (c + 1.0)
-    x = np.full((len(rows), n, 1), 1 / math.sqrt(n))
+    x = np.full((count, n, 1), 1 / math.sqrt(n))
     lam_prev = None
     for k in range(100 * n):
         if not len(rows):

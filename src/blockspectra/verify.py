@@ -36,7 +36,6 @@ from .families import (
     enumerate_clique_trees,
     enumerate_connected_graphs,
     enumerate_trees,
-    path_graph,
     random_clique_tree,
 )
 from .graphs import GraphError, are_isomorphic, block_decomposition, diameter, format_edge_list
@@ -191,13 +190,6 @@ def _compare(g, p, kind, sides):
     return None if pairs is None else _versus(g, kind, pairs)
 
 
-def _tree_chain(g, p):
-    """A tree of diameter > 3 lies above the path and below the broom."""
-    if diameter(g) <= 3:
-        return None
-    return ("lower", (path_graph(g.n),)), ("upper", (broom(g.n),))
-
-
 def _block_bound(side, g, p):
     """The clique paths below g, or the clique stars above it, with its block sizes."""
     decomp = _spread(g)
@@ -205,6 +197,14 @@ def _block_bound(side, g, p):
         return None
     sizes = tuple(sorted(len(b) for b in decomp.blocks))
     return ((side, _comparators("path" if side == "lower" else "star", sizes)),)
+
+
+def _tree_chain(g, p):
+    """A tree under the standing hypothesis, on trees diameter > 3, lies above
+    the path (the clique path of its edges) and below the broom, built by broom:
+    the clique star of its edges has other labels and other last bits."""
+    lower = _block_bound("lower", g, p)
+    return None if lower is None else (*lower, ("upper", (broom(g.n),)))
 
 
 def _completion(side, g, p):

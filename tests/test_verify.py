@@ -21,8 +21,10 @@ from blockspectra import (
     block_decomposition,
     clique_path,
     complete_graph,
+    diameter,
     enumerate_clique_trees,
     enumerate_connected_graphs,
+    enumerate_trees,
     parse_edge_list,
     path_graph,
     verify,
@@ -169,6 +171,28 @@ class TestHypothesis:
             held += pairwise
         assert len(pool) == 8254
         assert 0 < held < len(pool)
+
+    def test_spread_on_trees_is_diameter_above_3(self):
+        """A tree's cut vertices are its internal vertices and its blocks its
+        edges, so the hypothesis holds on a tree iff its diameter is > 3, as
+        T2.5 and T4.6 state it: every tree with n <= 12."""
+        trees = [t for n in range(1, 13) for t in enumerate_trees(n)]
+        assert len(trees) == 987
+        for t in trees:
+            assert (verify._spread(t) is None) == (diameter(t) <= 3), t
+
+    @pytest.mark.parametrize("tid", ["T2.5", "T4.6"])
+    def test_tree_chain_leaves_the_hypothesis_to_spread(self, monkeypatch, tid):
+        calls = []
+
+        def counted(g):
+            calls.append(g)
+            return diameter(g)
+
+        monkeypatch.setattr(verify, "diameter", counted)
+        report = run_check(tid, n=8)
+        assert (report.checked, report.excluded) == (19, 4)
+        assert calls == []
 
 
 class TestExtremal:
