@@ -515,6 +515,23 @@ class TestCanonicalForm:
             "5b334c13c3acd209fd84249f4c29e01c9fa6a5f4e82a2019c2c42a8833a6e3f1"
         )
 
+    def test_deep_searches_are_pinned(self):
+        """Forms and generators of searches whose paths branch 12 to 19
+        times, deeper than any enumerated class (at most 4) or the star
+        pinned above (9): disjoint unions of k 5-cycles, a relabelled copy
+        of each, and a star of twenty triangles."""
+        rng = random.Random(23)
+        cycles = [from_edge_list(5 * k, [(5 * i + j, 5 * i + (j + 1) % 5)
+                                         for i in range(k) for j in range(5)])
+                  for k in range(1, 7)]
+        pinned = [*cycles, *(relabelled(g, rng) for g in cycles), clique_star((3,) * 20, 3, 3)]
+        digest = hashlib.sha256()
+        for g in pinned:
+            digest.update(repr((canonical_form(g), graphs._automorphisms(g))).encode())
+        assert digest.hexdigest() == (
+            "330401730caa4565f99ffe24cfd629ec90a74c9260951046b083da8e246ef0cd"
+        )
+
     def test_refinement_matches_the_tuple_key_oracle(self):
         """The same ordered partition from the degree partition and from
         every single-vertex individualisation of its refinement, the two
