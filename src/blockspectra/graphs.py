@@ -257,12 +257,12 @@ def canonical_form(g):
     cell ascending.
 
     The search collects generators of automorphisms as it goes: the twin
-    transpositions, built at the first branching, and the map from the best
-    leaf to any leaf with an equal matrix. It skips a branch vertex in the
-    orbit of an explored sibling under the generators that fix the current
-    path pointwise. That subtree is an automorphic image of one already
-    searched, with the same leaf matrices, so the pruning never changes the
-    form. The form and the leaf generators are cached per graph.
+    transpositions and the map from the best leaf to any leaf with an equal
+    matrix. It skips a branch vertex in the orbit of an explored sibling
+    under the generators that fix the current path pointwise. That subtree
+    is an automorphic image of one already searched, with the same leaf
+    matrices, so the pruning never changes the form. The form and the leaf
+    generators are cached per graph.
     """
     return _canonical_forms([g])[0]
 
@@ -354,56 +354,48 @@ def _canonical_forms(graphs):
     return [g.__dict__["_canon"] for g in graphs]
 
 
-def _search(g, twin, node, signature):
+def _search(g, twin, root, signature):
     """canonical_form's depth-first search of g, twin from _twins, from its
     root node: it yields (cells, v) for the child of the node with partition
     cells whose branch vertex is v, is sent that child's node as _nodes
-    reads it, and at the end caches the form and generators and yields
-    None.
+    reads it, and at the end caches the form and generators and yields None.
 
-    Each open node keeps the orbit of its explored branch vertices under the
-    generators fixing its path, extended as siblings are explored and closed
-    again only when a leaf finds a new generator that fixes the path.
+    visit(cells, branch, path, fixing) searches below a branch node, fixing
+    being the twin swaps and generators that fix its path pointwise. It
+    keeps the orbit of the explored branch vertices under fixing, adds to
+    fixing the generators found since it last looked that fix the path,
+    closing the orbit again only then, takes in each leaf child as the best
+    leaf or a generator, and hands each branch child those of fixing that
+    fix its vertex. The recursion takes one level per branch node on the
+    path: 4 in every enumerated class, 40 for 20 disjoint 5-cycles. Python's
+    default limit of 1000 frames caps nested generators, which only an order
+    above 1000 could reach; no command canonicalises a graph above order 12.
     """
-    swaps = None
     gens = []
     best = best_order = None
-    # one frame per open node: [path, cells, unexplored branch vertices, the
-    # generators fixing the path, how many of gens they reflect, the orbit
-    # of the explored branch vertices as a set of bitmasks]
-    frames = []
-    path = ()
-    while node is not None:
-        cells, order, branch, leaf = node
-        if branch:
-            swaps = _swaps(twin) if swaps is None else swaps
-            fixing = [p for p in swaps + gens if all(p[u] == u for u in path)]
-            frames.append([path, cells, iter(branch), fixing, len(gens), set()])
-        elif best is None or leaf < best:
-            best, best_order = leaf, order
-        elif leaf == best:
-            perm = [0] * len(order)
-            for u, v in zip(best_order, order):
-                perm[u] = v
-            gens.append(tuple(perm))
-        node = None
-        while frames and node is None:
-            frame = frames[-1]
-            path, cells, todo, fixing, known, orbit = frame
-            v = next(todo, None)
-            if v is None:
-                frames.pop()
-                continue
+
+    def visit(cells, branch, path, fixing):
+        nonlocal best, best_order
+        orbit, known = set(), len(gens)
+        for v in branch:
             new = [p for p in gens[known:] if all(p[u] == u for u in path)]
-            frame[4] = len(gens)
+            known = len(gens)
             if new:
                 fixing += new
                 orbit |= _orbit(orbit, fixing)
             if 1 << v in orbit:
                 continue
             orbit |= _orbit((1 << v,), fixing)
-            path += (v,)
-            node = yield cells, v
+            child, order, split, leaf = yield cells, v
+            if split:
+                yield from visit(child, split, path + (v,), [p for p in fixing if p[v] == v])
+            elif best is None or leaf < best:
+                best, best_order = leaf, order
+            elif leaf == best:  # the map taking best_order[i] to order[i]
+                gens.append(tuple(w for _, w in sorted(zip(best_order, order))))
+
+    yield from visit(root[0], root[2], (), _swaps(twin))
+    del visit  # it holds itself in its closure; freed now, not by the cycle collector
     g.__dict__["_canon"] = (signature, best)
     if gens:
         g.__dict__["_leaf_auts"] = tuple(gens)

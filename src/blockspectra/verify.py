@@ -39,7 +39,7 @@ from .families import (
     random_clique_tree,
 )
 from .graphs import GraphError, are_isomorphic, block_decomposition, diameter, format_edge_list
-from .spectral import DEFAULT_TOL, adjacency_matrix, complement_distance_matrix, spectral_radii
+from .spectral import adjacency_matrix, complement_distance_matrix, spectral_radii
 from .transforms import complete_blocks, end_cliques, move_clique
 
 __all__ = ["EPS", "TheoremReport", "ALIASES", "run_check"]
@@ -162,7 +162,7 @@ def _comparators(shape, sizes):
 # step that compares radii is a generator: it yields (kind, graphs), is sent
 # back one EigenPair per graph, and returns its record (see _run_rounds). All
 # radius comparisons are _versus steps; a comparison claim's hypothesis
-# sides(g, p) gives None for an excluded g, else the (side, comparator graphs)
+# sides(g) gives None for an excluded g, else the (side, comparator graphs)
 # pairs. It is a plain function, so none of its locals wait with the step.
 
 
@@ -186,11 +186,11 @@ def _versus(g, kind, sides):
 
 
 def _compare(g, p, kind, sides):
-    pairs = sides(g, p)
+    pairs = sides(g)
     return None if pairs is None else _versus(g, kind, pairs)
 
 
-def _block_bound(side, g, p):
+def _block_bound(side, g):
     """The clique paths below g, or the clique stars above it, with its block sizes."""
     decomp = _spread(g)
     if decomp is None:
@@ -199,15 +199,15 @@ def _block_bound(side, g, p):
     return ((side, _comparators("path" if side == "lower" else "star", sizes)),)
 
 
-def _tree_chain(g, p):
+def _tree_chain(g):
     """A tree under the standing hypothesis, on trees diameter > 3, lies above
     the path (the clique path of its edges) and below the broom, built by broom:
     the clique star of its edges has other labels and other last bits."""
-    lower = _block_bound("lower", g, p)
+    lower = _block_bound("lower", g)
     return None if lower is None else (*lower, ("upper", (broom(g.n),)))
 
 
-def _completion(side, g, p):
+def _completion(side, g):
     decomp = _spread(g)
     return None if decomp is None else ((side, (complete_blocks(g, decomp),)),)
 
@@ -573,7 +573,7 @@ def _run_rounds(tid, p, items):
                 if key not in table:
                     todo.setdefault(kind, {})[key] = g
         for kind, fresh in todo.items():
-            table.update(zip(fresh, spectral_radii(fresh.values(), kind, tol=DEFAULT_TOL)))
+            table.update(zip(fresh, spectral_radii(fresh.values(), kind)))
         current, waiting = waiting, []
         for i, gen, (kind, graphs) in current:
             advance(i, gen, [table[kind, g.n, g.rows] for g in graphs])

@@ -5,15 +5,18 @@
 Runs every stored argv in a fresh `python -m blockspectra` process on the
 source tree (`src` first on PYTHONPATH, BLAS threads pinned to 1) and
 compares its exit code and report digest (`bench/checks.report_digest`, the
-report bytes minus `elapsed`) with the stored entry. Prints each mismatch and
-a summary line; exits 1 if any command mismatches, else 0. A change meant to
-keep the report bytes quotes this command's summary as its evidence.
+report bytes minus `elapsed`) with the stored entry, one thread per CPU
+each waiting on its own subprocess. Prints each mismatch, in stored order,
+and a summary line; exits 1 if any command mismatches, else 0. A change
+meant to keep the report bytes quotes this command's summary as its
+evidence.
 """
 
 import json
 import os
 import subprocess
 import sys
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -31,24 +34,28 @@ ENV = dict(
 )
 
 
+def run(key):
+    """Exit code and report digest of one stored argv string, run afresh."""
+    proc = subprocess.run(
+        [sys.executable, "-m", "blockspectra", *key.split()],
+        cwd=ROOT,
+        env=ENV,
+        capture_output=True,
+    )
+    return proc.returncode, checks.report_digest(proc.stdout)
+
+
 def replay(stored):
     """One line per stored command ({argv string: {"exit", "sha256"}}) whose
-    fresh run differs from its entry."""
-    mismatches = []
-    for key, ref in stored.items():
-        proc = subprocess.run(
-            [sys.executable, "-m", "blockspectra", *key.split()],
-            cwd=ROOT,
-            env=ENV,
-            capture_output=True,
-        )
-        digest = checks.report_digest(proc.stdout)
-        if (proc.returncode, digest) != (ref["exit"], ref["sha256"]):
-            mismatches.append(
-                f"{key}: exit {proc.returncode}, sha256 {digest}; "
-                f"stored exit {ref['exit']}, sha256 {ref['sha256']}"
-            )
-    return mismatches
+    fresh run differs from its entry, in stored order."""
+    with ThreadPoolExecutor(os.cpu_count()) as pool:
+        results = pool.map(run, stored)
+        return [
+            f"{key}: exit {code}, sha256 {digest}; "
+            f"stored exit {ref['exit']}, sha256 {ref['sha256']}"
+            for (key, ref), (code, digest) in zip(stored.items(), results)
+            if (code, digest) != (ref["exit"], ref["sha256"])
+        ]
 
 
 def main():
