@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -69,11 +68,11 @@ class Graph:
         self.n = n
         self.rows = rows
 
-    @cached_property
+    @property
     def m(self):
         return sum(r.bit_count() for r in self.rows) // 2
 
-    @cached_property
+    @property
     def edges(self):
         out = []
         for u in range(self.n):

@@ -67,7 +67,9 @@ ALIASES = {"T4.4": "L4.4"}
 
 @dataclass
 class TheoremReport:
-    """Structured result of one verification run."""
+    """Structured result of one verification run: witness and each violation's
+    "graph" hold edge-list text, rows[i]["graph"] holds the Graph itself,
+    formatted when the CSV is written."""
 
     theorem: str
     params: dict
@@ -105,9 +107,11 @@ class TheoremReport:
 
     def to_csv(self):
         lines = ["theorem,graph,side,lhs,rhs,margin,status"]
+        # one formatting per distinct graph: a tree can have many rows
+        text = {g: _gstr(g) for g in {r["graph"] for r in self.rows}}
         for r in self.rows:
             nums = ",".join(format(float(r[key]), ".12g") for key in ("lhs", "rhs", "margin"))
-            lines.append(f"{self.theorem},{r['graph']},{r['side']},{nums},{r['status']}")
+            lines.append(f"{self.theorem},{text[r['graph']]},{r['side']},{nums},{r['status']}")
         return "\n".join(lines) + "\n"
 
 
@@ -182,7 +186,7 @@ def _versus(g, kind, sides):
         tied = abs(lam - rhs) <= EPS
         tie_ok = any(h == g or are_isomorphic(g, h) for h in others) if tied else None
         comparisons.append((side, lam, rhs, slack, tie_ok))
-    return {"graph": _gstr(g), "comparisons": comparisons}
+    return {"graph": g, "comparisons": comparisons}
 
 
 def _compare(g, p, kind, sides):
@@ -249,7 +253,7 @@ def _identity(g, p):
         i, j = int(bad[0][0]), int(bad[0][1])
         first_bad = (i, j, int(dc[i, j]), int(target[i, j]))
     return {
-        "graph": _gstr(g),
+        "graph": g,
         "case": "equality" if d > 3 else "dominance",
         "strict_pairs": int((dc > target).sum()) // 2 if d == 3 else 0,
         "first_bad": first_bad,
@@ -271,7 +275,7 @@ def _class_member(g, p, kind):
 
 def _violate(report, graph, lhs, rhs, margin, reason):
     report.violations.append(
-        {"graph": graph, "lhs": lhs, "rhs": rhs, "margin": margin, "reason": reason}
+        {"graph": _gstr(graph), "lhs": lhs, "rhs": rhs, "margin": margin, "reason": reason}
     )
 
 
@@ -301,6 +305,7 @@ def _judge(report, graph, side, lhs, rhs, slack, bad_tie=False):
 def _reduce(report, results, p, eq_required=True):
     """Fold comparison records; with eq_required a tie must be an equality case."""
     best = float("inf")
+    witness = None
     loose_ties = 0
     for res in results:
         for side, lhs, rhs, slack, tie_ok in res["comparisons"]:
@@ -309,7 +314,8 @@ def _reduce(report, results, p, eq_required=True):
                 loose_ties += 1
             if slack < best:
                 best = slack
-                report.witness = res["graph"]
+                witness = res["graph"]
+    report.witness = None if witness is None else _gstr(witness)
     if loose_ties:
         report.notes.append(
             f"ties not isomorphic to the comparator: {loose_ties} "
@@ -331,12 +337,13 @@ def _reduce_moves(report, results, p):
 def _reduce_identity(report, results, p):
     cases = {"equality": 0, "dominance": 0}
     strict = 0
+    witness = None
     for res in results:
         cases[res["case"]] += 1
         if res["strict_pairs"] > 0:
             strict += 1
-            if report.witness is None:
-                report.witness = res["graph"]
+            if witness is None:
+                witness = res["graph"]
         status = "ok"
         if res["first_bad"] is not None:
             status = "violation"
@@ -344,6 +351,7 @@ def _reduce_identity(report, results, p):
             reason = f"{res['case']} fails at entry ({i},{j})"
             _violate(report, res["graph"], float(lhs), float(rhs), float(lhs - rhs), reason)
         _record(report, res["graph"], res["case"], float(res["strict_pairs"]), 0.0, 0.0, status)
+    report.witness = None if witness is None else _gstr(witness)
     report.notes.append(f"diameter > 3 instances (exact equality required): {cases['equality']}")
     report.notes.append(f"diameter = 3 instances (entrywise >= required): {cases['dominance']}")
     report.notes.append(
@@ -369,7 +377,7 @@ def _reduce_class_max(report, results, p, rising):
     tops = {k: max(members, key=lambda r: r[1]) for k, members in classes.items()}
     lhs, rhs = (tops[d + 1], tops[d]) if rising else (tops[d], tops[d + 1])
     report.witness = _gstr(lhs[2])
-    if _judge(report, report.witness, "classmax", lhs[1], rhs[1], lhs[1] - rhs[1]) == "tie":
+    if _judge(report, lhs[2], "classmax", lhs[1], rhs[1], lhs[1] - rhs[1]) == "tie":
         report.notes.append("class maxima tie within tolerance (no equality case stated)")
     for k, (_, lam, g) in tops.items():
         report.notes.append(

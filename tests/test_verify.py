@@ -25,6 +25,7 @@ from blockspectra import (
     enumerate_clique_trees,
     enumerate_connected_graphs,
     enumerate_trees,
+    format_edge_list,
     parse_edge_list,
     path_graph,
     verify,
@@ -56,6 +57,13 @@ SMOKE_PARAMS = {
     "L3.2": dict(n=5),
     "L5.1": dict(n=5),
 }
+
+
+def canon(report):
+    """The JSON report as an object, minus the run time."""
+    obj = json.loads(report.to_json())
+    obj.pop("elapsed")
+    return obj
 
 
 def witness_graph(report):
@@ -415,11 +423,6 @@ class TestReports:
         assert statuses <= {"ok", "tie", "violation"}
 
     def test_deterministic_across_runs_and_jobs(self):
-        def canon(report):
-            obj = json.loads(report.to_json())
-            obj.pop("elapsed")
-            return obj
-
         a = run_check("T2.4", n=6, jobs=1)
         b = run_check("T2.4", n=6, jobs=1)
         c = run_check("T2.4", n=6, jobs=2)
@@ -427,6 +430,44 @@ class TestReports:
         m1 = run_check("L2.1", trials=60, seed=7, n=8, jobs=1)
         m2 = run_check("L2.1", trials=60, seed=7, n=8, jobs=2)
         assert canon(m1) == canon(m2)
+
+    def test_violations_cross_the_process_pool(self):
+        # records travel from the workers as pickled graphs; T2.4 at n = 10
+        # has two violations, so both their text and the CSV rows are compared
+        one = run_check("T2.4", n=10, jobs=1)
+        two = run_check("T2.4", n=10, jobs=2)
+        assert len(one.violations) == 2
+        assert canon(one) == canon(two)
+        assert one.to_csv() == two.to_csv()
+
+    @pytest.fixture
+    def formats(self, monkeypatch):
+        """The graphs verify formats as edge-list text, one entry per call."""
+        seen = []
+
+        def counted(g):
+            seen.append(g)
+            return format_edge_list(g)
+
+        monkeypatch.setattr(verify, "format_edge_list", counted)
+        return seen
+
+    def test_json_formats_only_what_it_prints(self, formats):
+        report = run_check("T2.4", n=10)
+        report.to_json()
+        assert len(report.violations) == 2
+        assert len(formats) <= len(report.violations) + 1
+        formats.clear()
+        run_check("L4.1").to_json()
+        assert len(formats) == 1
+
+    @pytest.mark.parametrize("tid", ["T2.5", "L2.1"])
+    def test_csv_formats_each_row_graph_once(self, formats, tid):
+        report = run_check(tid)
+        formats.clear()
+        report.to_csv()
+        distinct = {r["graph"] for r in report.rows}
+        assert len(formats) == len(distinct) < len(report.rows)
 
     def test_tolerance_field(self):
         report = run_check("T2.4", n=5)
