@@ -67,9 +67,11 @@ ALIASES = {"T4.4": "L4.4"}
 
 @dataclass
 class TheoremReport:
-    """Structured result of one verification run: witness and each violation's
-    "graph" hold edge-list text, rows[i]["graph"] holds the Graph itself,
-    formatted when the CSV is written."""
+    """Structured result of one verification run. rows, one per comparison
+    (per graph for L4.1), are what a claim's reduction writes: rows[i]["graph"]
+    holds the Graph itself, formatted when the CSV is written, and a violation
+    row also holds its "violation" detail. run_check reads violations and ties
+    off the rows; witness and each violation's "graph" hold edge-list text."""
 
     theorem: str
     params: dict
@@ -163,19 +165,20 @@ def _comparators(shape, sizes):
 
 # Per-instance steps take (instance, params) and return None for an instance
 # outside the hypothesis, else the record their claim's reduction reads. A
-# step that compares radii is a generator: it yields (kind, graphs), is sent
-# back one EigenPair per graph, and returns its record (see _run_rounds). All
-# radius comparisons are _versus steps; a comparison claim's hypothesis
-# sides(g) gives None for an excluded g, else the (side, comparator graphs)
-# pairs. It is a plain function, so none of its locals wait with the step.
+# step that compares radii is a generator: it yields a tuple of graphs, is
+# sent back one EigenPair of its claim's spectral kind per graph, and returns
+# its record (see _run_rounds). All radius comparisons are _versus steps; a
+# comparison claim's hypothesis sides(g) gives None for an excluded g, else
+# the (side, comparator graphs) pairs. It is a plain function, so none of its
+# locals wait with the step.
 
 
-def _versus(g, kind, sides):
+def _versus(g, sides):
     """Compare g's radius with each (side, comparator graphs) pair: a "lower"
     side claims it is at least the least comparator radius, any other side at
     most the greatest; slack >= 0 means the claim holds. On a tie within EPS,
     tie_ok says whether g is a comparator up to isomorphism, else it is None."""
-    pairs = yield kind, (g, *(h for _, others in sides for h in others))
+    pairs = yield (g, *(h for _, others in sides for h in others))
     radii = iter([pair.value for pair in pairs])
     lam = next(radii)
     comparisons = []
@@ -189,9 +192,9 @@ def _versus(g, kind, sides):
     return {"graph": g, "comparisons": comparisons}
 
 
-def _compare(g, p, kind, sides):
+def _compare(g, p, sides):
     pairs = sides(g)
-    return None if pairs is None else _versus(g, kind, pairs)
+    return None if pairs is None else _versus(g, pairs)
 
 
 def _block_bound(side, g):
@@ -216,7 +219,7 @@ def _completion(side, g):
     return None if decomp is None else ((side, (complete_blocks(g, decomp),)),)
 
 
-def _clique_move(spec, p, kind, toward_smaller_entry):
+def _clique_move(spec, p, toward_smaller_entry):
     """Every admissible move of one sampled clique tree, compared with it.
 
     A move takes an end clique K from its cut vertex v to a cut vertex w
@@ -230,92 +233,75 @@ def _clique_move(spec, p, kind, toward_smaller_entry):
     # disconnected, and its complement distance matrix is then undefined
     if decomp is None:
         return None
-    x = (yield kind, (g,))[0].vector
+    x = (yield (g,))[0].vector
     moves = []
     for K, v in end_cliques(g, decomp):
         for w in sorted(decomp.cut_vertices):
             big, small = (v, w) if toward_smaller_entry else (w, v)
             if (w == v or w not in K) and x[big] >= x[small] - ENTRY_SLACK:
                 moves.append(("move", (move_clique(g, K, v, w, decomp),)))
-    return (yield from _versus(g, kind, moves))
+    return (yield from _versus(g, moves))
 
 
 def _identity(g, p):
-    """D(G^c) against J - I + A(G): equal for diameter > 3, >= for diameter 3."""
+    """D(G^c) against J - I + A(G): equal for diameter > 3, >= for diameter 3.
+
+    The record is g's report row: its strict-pair count against 0, and if an
+    entry fails, the first such entry as the violation.
+    """
     d = diameter(g)
     if d < 3:
         return None
     dc = complement_distance_matrix(g)
     target = 1 - np.eye(g.n, dtype=np.int64) + adjacency_matrix(g)
+    case = "equality" if d > 3 else "dominance"
+    strict = int((dc > target).sum()) // 2 if d == 3 else 0
+    row = {"graph": g, "side": case, "lhs": float(strict), "rhs": 0.0, "margin": 0.0}
     bad = np.argwhere(dc != target if d > 3 else dc < target)
-    first_bad = None
+    row["status"] = "violation" if len(bad) else "ok"
     if len(bad):
-        i, j = int(bad[0][0]), int(bad[0][1])
-        first_bad = (i, j, int(dc[i, j]), int(target[i, j]))
-    return {
-        "graph": g,
-        "case": "equality" if d > 3 else "dominance",
-        "strict_pairs": int((dc > target).sum()) // 2 if d == 3 else 0,
-        "first_bad": first_bad,
-    }
+        i, j = bad[0]
+        lhs, rhs = float(dc[i, j]), float(target[i, j])
+        reason = f"{case} fails at entry ({i},{j})"
+        row["violation"] = {"lhs": lhs, "rhs": rhs, "margin": lhs - rhs, "reason": reason}
+    return row
 
 
-def _class_member(g, p, kind):
+def _class_member(g, p):
     """(diameter, radius, g) for a graph in diameter class d or d + 1."""
     dg = diameter(g)
     if dg not in (p["d"], p["d"] + 1):
         return None
-    (pair,) = yield kind, (g,)
+    (pair,) = yield (g,)
     return (dg, pair.value, g)
 
 
-# Reductions fold the kept (non-None) records into a report whose checked and
-# excluded counts run_check has already set.
-
-
-def _violate(report, graph, lhs, rhs, margin, reason):
-    report.violations.append(
-        {"graph": _gstr(graph), "lhs": lhs, "rhs": rhs, "margin": margin, "reason": reason}
-    )
-
-
-def _record(report, graph, side, lhs, rhs, margin, status):
-    """Append one CSV row, counting it if it is a tie."""
-    if status == "tie":
-        report.ties += 1
-    report.rows.append(
-        {"graph": graph, "side": side, "lhs": lhs, "rhs": rhs, "margin": margin, "status": status}
-    )
-
-
-def _judge(report, graph, side, lhs, rhs, slack, bad_tie=False):
-    """Record one comparison as ok, tie or violation; a bad tie is a violation."""
-    if abs(lhs - rhs) <= EPS:
-        status = "violation" if bad_tie else "tie"
-        reason = "equality-characterization"
-    else:
-        status = "violation" if slack < -EPS else "ok"
-        reason = "inequality"
-    if status == "violation":
-        _violate(report, graph, lhs, rhs, slack, reason)
-    _record(report, graph, side, lhs, rhs, slack, status)
-    return status
+# Reductions fold the kept (non-None) records into report rows, witness and
+# notes; run_check has already set the checked and excluded counts, and reads
+# the violations and ties off the rows.
 
 
 def _reduce(report, results, p, eq_required=True):
-    """Fold comparison records; with eq_required a tie must be an equality case."""
-    best = float("inf")
-    witness = None
+    """One row per comparison: ok, tie or violation. A tie is a violation
+    when eq_required is on and g is no comparator; with it off, a tie is
+    loose when g is no comparator (tie_ok None asks no such question). The
+    witness is the graph of the first row of least slack."""
     loose_ties = 0
     for res in results:
         for side, lhs, rhs, slack, tie_ok in res["comparisons"]:
-            status = _judge(report, res["graph"], side, lhs, rhs, slack, eq_required and not tie_ok)
-            if status == "tie" and not tie_ok:
-                loose_ties += 1
-            if slack < best:
-                best = slack
-                witness = res["graph"]
-    report.witness = None if witness is None else _gstr(witness)
+            row = {"graph": res["graph"], "side": side, "lhs": lhs, "rhs": rhs, "margin": slack}
+            if abs(lhs - rhs) <= EPS:
+                row["status"] = "violation" if eq_required and not tie_ok else "tie"
+                reason = "equality-characterization"
+                loose_ties += row["status"] == "tie" and tie_ok is False
+            else:
+                row["status"] = "violation" if slack < -EPS else "ok"
+                reason = "inequality"
+            if row["status"] == "violation":
+                row["violation"] = {"lhs": lhs, "rhs": rhs, "margin": slack, "reason": reason}
+            report.rows.append(row)
+    if report.rows:
+        report.witness = _gstr(min(report.rows, key=lambda r: r["margin"])["graph"])
     if loose_ties:
         report.notes.append(
             f"ties not isomorphic to the comparator: {loose_ties} "
@@ -335,28 +321,17 @@ def _reduce_moves(report, results, p):
 
 
 def _reduce_identity(report, results, p):
-    cases = {"equality": 0, "dominance": 0}
-    strict = 0
-    witness = None
-    for res in results:
-        cases[res["case"]] += 1
-        if res["strict_pairs"] > 0:
-            strict += 1
-            if witness is None:
-                witness = res["graph"]
-        status = "ok"
-        if res["first_bad"] is not None:
-            status = "violation"
-            i, j, lhs, rhs = res["first_bad"]
-            reason = f"{res['case']} fails at entry ({i},{j})"
-            _violate(report, res["graph"], float(lhs), float(rhs), float(lhs - rhs), reason)
-        _record(report, res["graph"], res["case"], float(res["strict_pairs"]), 0.0, 0.0, status)
-    report.witness = None if witness is None else _gstr(witness)
-    report.notes.append(f"diameter > 3 instances (exact equality required): {cases['equality']}")
-    report.notes.append(f"diameter = 3 instances (entrywise >= required): {cases['dominance']}")
+    report.rows.extend(results)
+    equality = sum(row["side"] == "equality" for row in results)
+    strict = [row["graph"] for row in results if row["lhs"] > 0]
+    report.witness = _gstr(strict[0]) if strict else None
+    report.notes.append(f"diameter > 3 instances (exact equality required): {equality}")
     report.notes.append(
-        f"diameter = 3 instances with at least one strict entry: {strict}; "
-        f"with exact equality anyway: {cases['dominance'] - strict}"
+        f"diameter = 3 instances (entrywise >= required): {len(results) - equality}"
+    )
+    report.notes.append(
+        f"diameter = 3 instances with at least one strict entry: {len(strict)}; "
+        f"with exact equality anyway: {len(results) - equality - len(strict)}"
     )
 
 
@@ -376,8 +351,9 @@ def _reduce_class_max(report, results, p, rising):
         return
     tops = {k: max(members, key=lambda r: r[1]) for k, members in classes.items()}
     lhs, rhs = (tops[d + 1], tops[d]) if rising else (tops[d], tops[d + 1])
-    report.witness = _gstr(lhs[2])
-    if _judge(report, lhs[2], "classmax", lhs[1], rhs[1], lhs[1] - rhs[1]) == "tie":
+    comparison = ("classmax", lhs[1], rhs[1], lhs[1] - rhs[1], None)
+    _reduce(report, [{"graph": lhs[2], "comparisons": [comparison]}], p, eq_required=False)
+    if report.rows[0]["status"] == "tie":
         report.notes.append("class maxima tie within tolerance (no equality case stated)")
     for k, (_, lam, g) in tops.items():
         report.notes.append(
@@ -388,12 +364,15 @@ def _reduce_class_max(report, results, p, rising):
 class Claim(NamedTuple):
     """What one claim states and how run_check checks it.
 
-    params maps each report parameter, in report order, to (default, minimum
-    or None); family maps params to the instances. Functions of other layers
-    are called by name, never stored here, so wrappers on them see each call.
+    kind is the spectral kind of every radius the claim compares (None for
+    L4.1, which compares matrices). params maps each report parameter, in
+    report order, to (default, minimum or None); family maps params to the
+    instances. Functions of other layers are called by name, never stored
+    here, so wrappers on them see each call.
     """
 
     text: str
+    kind: str | None
     params: dict
     family: Callable
     instance: Callable
@@ -448,24 +427,23 @@ STAR_BOUND = partial(_block_bound, "upper")
 
 
 def _compare_claim(text, params, family, kind, sides, *notes, eq_required=True):
-    instance = partial(_compare, kind=kind, sides=sides)
-    return Claim(text, params, family, instance, partial(_reduce, eq_required=eq_required), notes)
+    reduce = partial(_reduce, eq_required=eq_required)
+    return Claim(text, kind, params, family, partial(_compare, sides=sides), reduce, notes)
 
 
 def _class_max_claim(text, family, kind, rising=False):
-    instance = partial(_class_member, kind=kind)
     reduce = partial(_reduce_class_max, rising=rising)
-    return Claim(text, {"n": (6, 1), "d": (3, 3)}, family, instance, reduce)
+    return Claim(text, kind, {"n": (6, 1), "d": (3, 3)}, family, _class_member, reduce)
 
 
 def _move_claim(text, kind, toward_smaller_entry):
     params = {"trials": (1000, 0), "seed": (0, None), "n_max": (10, 5)}
-    instance = partial(_clique_move, kind=kind, toward_smaller_entry=toward_smaller_entry)
+    instance = partial(_clique_move, toward_smaller_entry=toward_smaller_entry)
     notes = (
         "an admissible move satisfies the Perron-entry precondition within 1e-12; "
         "identity moves (w = v) are recorded as exact ties",
     )
-    return Claim(text, params, _move_specs, instance, _reduce_moves, notes)
+    return Claim(text, kind, params, _move_specs, instance, _reduce_moves, notes)
 
 
 CLAIMS = {
@@ -510,7 +488,7 @@ CLAIMS = {
         "inconsistent with the parallel claims and flagged here rather than guessed",
     ),
     "L4.1": Claim(
-        "complement distance matrix identity D(G^c) = J - I + A(G) for diameter > 3",
+        "complement distance matrix identity D(G^c) = J - I + A(G) for diameter > 3", None,
         {"n_max": (6, 1)}, partial(_connected_up_to, 1), _identity, _reduce_identity,
         ("witness: first diameter-3 graph with a strict entry",),
     ),
@@ -548,15 +526,15 @@ CLAIMS = {
 def _run_rounds(tid, p, items):
     """Run the claim's step on each item, all steps in lockstep rounds.
 
-    Each round gathers the distinct graphs (keyed by kind, order and rows)
-    that the open steps ask for and not yet in this run's table, solves them
-    with one spectral_radii call per kind, and sends every step its pairs. A
-    step that needs no radii is a plain function. Returns the steps' records
-    in item order. Batching never changes a pair's bits, so neither does the
-    grouping of items into runs.
+    Each round gathers the distinct graphs (keyed by order and rows) that the
+    open steps ask for and not yet in this run's table, solves them with one
+    spectral_radii call per round, of the claim's kind, and sends every step
+    its pairs. A step that needs no radii is a plain function. Returns the
+    steps' records in item order. Batching never changes a pair's bits, so
+    neither does the grouping of items into runs.
     """
     # pool workers get the claim id, never a record's callables, which need not pickle
-    step = CLAIMS[tid].instance
+    claim = CLAIMS[tid]
     records = [None] * len(items)
     table = {}
     waiting = []  # (item index, step generator, its request)
@@ -568,23 +546,19 @@ def _run_rounds(tid, p, items):
             records[i] = stop.value
 
     for i, item in enumerate(items):
-        out = step(item, p)
+        out = claim.instance(item, p)
         if inspect.isgenerator(out):
             advance(i, out, None)
         else:
             records[i] = out
     while waiting:
-        todo = {}
-        for _, _, (kind, graphs) in waiting:
-            for g in graphs:
-                key = (kind, g.n, g.rows)
-                if key not in table:
-                    todo.setdefault(kind, {})[key] = g
-        for kind, fresh in todo.items():
-            table.update(zip(fresh, spectral_radii(fresh.values(), kind)))
+        wanted = {(g.n, g.rows): g for _, _, graphs in waiting for g in graphs}
+        fresh = {key: g for key, g in wanted.items() if key not in table}
+        if fresh:
+            table.update(zip(fresh, spectral_radii(fresh.values(), claim.kind)))
         current, waiting = waiting, []
-        for i, gen, (kind, graphs) in current:
-            advance(i, gen, [table[kind, g.n, g.rows] for g in graphs])
+        for i, gen, graphs in current:
+            advance(i, gen, [table[g.n, g.rows] for g in graphs])
     return records
 
 
@@ -645,6 +619,10 @@ def run_check(theorem, n=None, s=None, d=None, trials=None, seed=None, jobs=1):
         theorem=tid, params=p, checked=len(kept), excluded=len(results) - len(kept)
     )
     claim.reduce(report, kept, p)
+    bad = [row for row in report.rows if row["status"] == "violation"]
+    text = {g: _gstr(g) for g in {row["graph"] for row in bad}}
+    report.violations = [{"graph": text[row["graph"]], **row["violation"]} for row in bad]
+    report.ties = sum(row["status"] == "tie" for row in report.rows)
     if report.checked == 0 and not any(note.startswith("vacuous") for note in report.notes):
         report.notes.append(VACUOUS_NOTE)
     report.notes.extend(claim.notes)

@@ -17,17 +17,21 @@ import pytest
 from blockspectra import (
     EigenPair,
     GraphError,
+    adjacency_matrix,
     are_isomorphic,
     block_decomposition,
     clique_path,
+    complement_distance_matrix,
     complete_graph,
     diameter,
+    end_cliques,
     enumerate_clique_trees,
     enumerate_connected_graphs,
     enumerate_trees,
     format_edge_list,
     parse_edge_list,
     path_graph,
+    random_clique_tree,
     verify,
 )
 from blockspectra.verify import (
@@ -64,6 +68,11 @@ def canon(report):
     obj = json.loads(report.to_json())
     obj.pop("elapsed")
     return obj
+
+
+def gstr(g):
+    """A graph's text as reports print it."""
+    return format_edge_list(g).strip().replace("\n", "; ")
 
 
 def witness_graph(report):
@@ -281,6 +290,40 @@ class TestIdentity:
         assert any("diameter > 3" in note for note in report.notes)
         assert any("strict" in note for note in report.notes)
 
+    @pytest.mark.parametrize("case, d", [("dominance", 3), ("equality", 4)])
+    def test_bad_entry_is_the_violation(self, monkeypatch, case, d):
+        """One entry of the first graph of diameter d, at (1, 2), is set to
+        0, below its target 1 + A[1, 2]. The violation names that entry and
+        its two values; the graph's CSV row keeps its strict-pair count."""
+        hit = []
+
+        def corrupted(g):
+            dc = complement_distance_matrix(g)
+            if not hit and diameter(g) == d:
+                dc = dc.copy()
+                dc[1, 2] = 0
+                hit.append((g, dc))
+            return dc
+
+        monkeypatch.setattr(verify, "complement_distance_matrix", corrupted)
+        report = run_check("L4.1", n=5)
+        ((g, dc),) = hit
+        target = 1 - np.eye(g.n, dtype=np.int64) + adjacency_matrix(g)
+        rhs = float(target[1, 2])
+        assert report.violations == [
+            {
+                "graph": gstr(g),
+                "lhs": 0.0,
+                "rhs": rhs,
+                "margin": -rhs,
+                "reason": f"{case} fails at entry (1,2)",
+            }
+        ]
+        strict = int((dc > target).sum()) // 2 if d == 3 else 0
+        row = f"L4.1,{gstr(g)},{case},{strict},0,0,violation"
+        assert [line for line in report.to_csv().split("\n") if f",{gstr(g)}," in line] == [row]
+        assert not report.passed
+
 
 class TestMonotonicity:
     def test_clique_tree_direction_passes(self):
@@ -384,11 +427,73 @@ class TestTieBranches:
         report = run_check("T2.5", n=7)
         assert (report.checked, report.ties, len(report.violations)) == (8, 1, 15)
 
+    def test_class_maxima_tie(self):
+        """Every class member ties, so the d = 3 maximum is its first member."""
+        report = run_check("L2.3", n=6, d=3)
+        first = next(g for g in enumerate_clique_trees(6) if diameter(g) == 3)
+        assert (report.ties, report.passed, report.witness) == (1, True, gstr(first))
+        assert [r["status"] for r in report.rows] == ["tie"]
+        assert "class maxima tie within tolerance (no equality case stated)" in report.notes
+
     @pytest.mark.parametrize("tid", ["L2.1", "L4.2"])
     def test_move_ties(self, tid):
         report = run_check(tid, trials=20, seed=0, n=8)
         assert (report.checked, report.ties, len(report.violations)) == (55, 16, 39)
         assert {v["reason"] for v in report.violations} == {"equality-characterization"}
+
+
+class TestBoundaries:
+    """Stubbed radii and Perron vectors just either side of the tolerances."""
+
+    @pytest.mark.parametrize("above, status", [(1.5, "violation"), (0.5, "tie")])
+    def test_violation_threshold_is_eps(self, monkeypatch, above, status):
+        """Each T2.2 instance's radius exceeds its clique-star comparators'
+        by `above` * EPS: past EPS a violation of the inequality, within it a tie."""
+        stars = set()
+        for g in enumerate_clique_trees(7):
+            decomp = verify._spread(g)
+            if decomp is not None:
+                sizes = tuple(sorted(len(b) for b in decomp.blocks))
+                stars |= {(h.n, h.rows) for h in _comparators("star", sizes)}
+
+        def radii(graphs, kind, tol=None):
+            values = [1.0 - above * EPS * ((g.n, g.rows) in stars) for g in graphs]
+            return [EigenPair(x, np.ones(g.n), 0.0, 0, "stub") for x, g in zip(values, graphs)]
+
+        monkeypatch.setattr(verify, "spectral_radii", radii)
+        report = run_check("T2.2", n=7)
+        assert report.checked == 25
+        assert {r["status"] for r in report.rows} == {status}
+        if status == "tie":
+            assert report.passed and report.ties == 25
+        else:
+            assert len(report.violations) == 25 and report.ties == 0
+            assert {v["reason"] for v in report.violations} == {"inequality"}
+            margins = [v["margin"] for v in report.violations]
+            assert margins == pytest.approx([-1.5 * EPS] * 25, rel=1e-6)
+
+    def test_perron_entry_slack(self, monkeypatch):
+        """With x_i = 1 + 1e-9 * i, x(v) >= x(w) within 1e-12 exactly when
+        v >= w, so L2.1 admits each move with v > w, L4.2 each with v < w,
+        and both admit each identity move w = v."""
+
+        def radii(graphs, kind, tol=None):
+            return [EigenPair(1.0, 1 + 1e-9 * np.arange(g.n), 0.0, 0, "stub") for g in graphs]
+
+        monkeypatch.setattr(verify, "spectral_radii", radii)
+        candidates = identities = 0
+        for spec in verify._move_specs({"trials": 40, "seed": 0, "n_max": 8}):
+            g = random_clique_tree(*spec)
+            decomp = verify._spread(g)
+            if decomp is None:
+                continue
+            for K, v in end_cliques(g, decomp):
+                identities += 1
+                candidates += sum(w == v or w not in K for w in decomp.cut_vertices)
+        a = run_check("L2.1", trials=40, seed=0, n=8)
+        b = run_check("L4.2", trials=40, seed=0, n=8)
+        assert (candidates, identities) == (125, 35)
+        assert a.checked + b.checked == candidates + identities
 
 
 class TestReports:
