@@ -19,17 +19,13 @@ from .families import (
     parse_family_spec,
 )
 from .graphs import GraphError, format_edge_list, parse_edge_list
-from .spectral import DEFAULT_TOL, SpectralError, spectral_radius
-from .verify import run_check
+from .spectral import DEFAULT_TOL, SPECTRAL_KINDS, SpectralError, spectral_radius
+from .verify import PARAMS, run_check
 
 __all__ = ["main"]
 
-_MATRIX_KINDS = {
-    "adjacency": "adjacency",
-    "distance": "distance",
-    "cadjacency": "complement_adjacency",
-    "cdistance": "complement_distance",
-}
+# --matrix names: c for the complement's matrices
+_MATRIX_KINDS = {kind.replace("complement_", "c"): kind for kind in SPECTRAL_KINDS}
 
 
 class _UsageError(Exception):
@@ -96,15 +92,8 @@ def _cmd_spectrum(args):
 
 
 def _cmd_verify(args):
-    report = run_check(
-        args.theorem,
-        n=args.n,
-        s=args.s,
-        d=args.d,
-        trials=args.trials,
-        seed=args.seed,
-        jobs=args.jobs,
-    )
+    given = {name: getattr(args, name) for name in PARAMS}
+    report = run_check(args.theorem, jobs=args.jobs, **given)
     text = report.to_json() if args.format == "json" else report.to_csv()
     _emit(text, args.out)
     return 0 if report.passed else 2
@@ -160,11 +149,8 @@ def _build_parser():
 
     p_ver = sub.add_parser("verify", help="run one theorem check")
     p_ver.add_argument("theorem", help="claim id, e.g. L4.1, T2.4, T5.2")
-    p_ver.add_argument("--n", type=int, default=None)
-    p_ver.add_argument("--s", type=int, default=None)
-    p_ver.add_argument("--d", type=int, default=None)
-    p_ver.add_argument("--trials", type=int, default=None)
-    p_ver.add_argument("--seed", type=int, default=None)
+    for name in PARAMS:
+        p_ver.add_argument(f"--{name}", type=int, default=None)
     p_ver.add_argument("--format", choices=["json", "csv"], default="json")
     p_ver.add_argument("--out", default=None, help="report path (default stdout)")
     p_ver.add_argument(

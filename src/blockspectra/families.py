@@ -169,24 +169,29 @@ def _grown_classes(n, connected):
     return tuple(g for _, g in _grow(level, children, lambda form, tag: None))
 
 
-def enumerate_trees(n):
-    """One representative per isomorphism class of trees on n vertices."""
+# Largest order each family is enumerated at; the clique-tree cap also bounds
+# the clique-move claims' sampled trees.
+CAPS = {"tree": 12, "connected-graph": 7, "clique-tree": 12}
+
+
+def _capped(n, family):
+    """n as an int, rejected outside 1..CAPS[family] before anything is grown."""
     n = int(n)
     if n < 1:
-        raise GraphError(f"tree enumeration needs n >= 1, got {n}")
-    if n > 12:
-        raise GraphError(f"tree enumeration capped at n = 12, got {n}")
-    yield from _grown_classes(n, False)
+        raise GraphError(f"{family} enumeration needs n >= 1, got {n}")
+    if n > CAPS[family]:
+        raise GraphError(f"{family} enumeration capped at n = {CAPS[family]}, got {n}")
+    return n
+
+
+def enumerate_trees(n):
+    """One representative per isomorphism class of trees on n vertices, n capped by CAPS."""
+    yield from _grown_classes(_capped(n, "tree"), False)
 
 
 def enumerate_connected_graphs(n):
-    """One representative per isomorphism class of connected graphs, n <= 7."""
-    n = int(n)
-    if n < 1:
-        raise GraphError(f"connected enumeration needs n >= 1, got {n}")
-    if n > 7:
-        raise GraphError(f"connected-graph enumeration capped at n = 7, got {n}")
-    yield from _grown_classes(n, True)
+    """One representative per isomorphism class of connected graphs, n capped by CAPS."""
+    yield from _grown_classes(_capped(n, "connected-graph"), True)
 
 
 def _size_multisets(total, s, minimum=2):
@@ -198,10 +203,6 @@ def _size_multisets(total, s, minimum=2):
     for first in range(minimum, total - minimum * (s - 1) + 1):
         for rest in _size_multisets(total - first, s - 1, first):
             yield (first,) + rest
-
-
-# Largest clique-tree order enumerated, and sampled by the clique-move claims.
-MAX_CLIQUE_TREE_ORDER = 12
 
 
 def _glue_remaining(tag, g):
@@ -219,10 +220,6 @@ def _glue_remaining(tag, g):
 
 @lru_cache(maxsize=None)
 def _clique_tree_classes(n, s):
-    if n > MAX_CLIQUE_TREE_ORDER:
-        raise GraphError(
-            f"clique-tree enumeration capped at n = {MAX_CLIQUE_TREE_ORDER}, got n={n}"
-        )
     if s < 1 or n < s + 1:
         raise GraphError(f"no clique tree has n={n} vertices and s={s} blocks")
     # every size multiset, in lex order, grown from K1 in one level, grouped
@@ -239,13 +236,11 @@ def _clique_tree_classes(n, s):
 
 
 def enumerate_clique_trees(n, s=None):
-    """One representative per isomorphism class of clique trees with n vertices
-    and s blocks, or with each block count in turn if s is None. Empty
-    parameters are rejected rather than silently empty; only n = 1 with every
-    block count yields nothing."""
-    n = int(n)
-    if n < 1:
-        raise GraphError(f"clique-tree enumeration needs n >= 1, got n={n}")
+    """One representative per isomorphism class of clique trees with n vertices,
+    n capped by CAPS, and s blocks, or with each block count in turn if s is
+    None. Empty parameters are rejected rather than silently empty; only n = 1
+    with every block count yields nothing."""
+    n = _capped(n, "clique-tree")
     for s in range(1, n) if s is None else [int(s)]:
         yield from _clique_tree_classes(n, s)
 

@@ -22,14 +22,14 @@ import json
 import os
 import random
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import cache, partial
 from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .families import (
-    MAX_CLIQUE_TREE_ORDER,
+    CAPS,
     broom,
     clique_path,
     clique_star,
@@ -90,21 +90,13 @@ class TheoremReport:
         return not self.violations
 
     def to_json(self):
-        obj = {
-            "theorem": self.theorem,
-            "params": self.params,
-            "checked": self.checked,
-            "excluded": self.excluded,
-            "violations": [
-                {key: x if key in ("graph", "reason") else _num(x) for key, x in v.items()}
-                for v in self.violations
-            ],
-            "ties": self.ties,
-            "witness": self.witness,
-            "tolerance": self.tolerance,
-            "elapsed": round(self.elapsed, 3),
-            "notes": self.notes,
-        }
+        # every field but rows, in field order
+        obj = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "rows"}
+        obj["violations"] = [
+            {key: x if key in ("graph", "reason") else _num(x) for key, x in v.items()}
+            for v in self.violations
+        ]
+        obj["elapsed"] = round(self.elapsed, 3)
         return json.dumps(obj, indent=2) + "\n"
 
     def to_csv(self):
@@ -400,9 +392,9 @@ def _connected_up_to(first, p):
 
 
 def _move_specs(p):
-    if p["n_max"] > MAX_CLIQUE_TREE_ORDER:
+    if p["n_max"] > CAPS["clique-tree"]:
         raise GraphError(
-            f"clique-move sampling capped at n = {MAX_CLIQUE_TREE_ORDER}, got n={p['n_max']}"
+            f"clique-move sampling capped at n = {CAPS['clique-tree']}, got n={p['n_max']}"
         )
     rng = random.Random(p["seed"])
     specs = []
@@ -523,13 +515,22 @@ CLAIMS = {
 }
 
 
+def _name(key):
+    """The name a claim's parameter is given by: n sets n_max."""
+    return "n" if key == "n_max" else key
+
+
+# Every parameter name some claim takes, in registry order.
+PARAMS = tuple(dict.fromkeys(_name(key) for claim in CLAIMS.values() for key in claim.params))
+
+
 def _run_rounds(tid, p, items):
     """Run the claim's step on each item, all steps in lockstep rounds.
 
-    Each round gathers the distinct graphs (keyed by order and rows) that the
-    open steps ask for and not yet in this run's table, solves them with one
-    spectral_radii call per round, of the claim's kind, and sends every step
-    its pairs. A step that needs no radii is a plain function. Returns the
+    Each round gathers the distinct graphs that the open steps ask for and
+    not yet in this run's table, keyed by the Graph itself, solves them with
+    one spectral_radii call of the claim's kind, and sends every step its
+    pairs. A step that needs no radii is a plain function. Returns the
     steps' records in item order. Batching never changes a pair's bits, so
     neither does the grouping of items into runs.
     """
@@ -552,13 +553,12 @@ def _run_rounds(tid, p, items):
         else:
             records[i] = out
     while waiting:
-        wanted = {(g.n, g.rows): g for _, _, graphs in waiting for g in graphs}
-        fresh = {key: g for key, g in wanted.items() if key not in table}
+        fresh = dict.fromkeys(g for _, _, graphs in waiting for g in graphs if g not in table)
         if fresh:
-            table.update(zip(fresh, spectral_radii(fresh.values(), claim.kind)))
+            table.update(zip(fresh, spectral_radii(fresh, claim.kind)))
         current, waiting = waiting, []
         for i, gen, graphs in current:
-            advance(i, gen, [table[g.n, g.rows] for g in graphs])
+            advance(i, gen, [table[g] for g in graphs])
     return records
 
 
@@ -582,10 +582,10 @@ def _run_family(tid, p, items, jobs):
         return [record for part in parts for record in part]
 
 
-def run_check(theorem, n=None, s=None, d=None, trials=None, seed=None, jobs=1):
-    """Check one claim: validate and default its parameters, enumerate its
-    family, run each instance's step (the family split over `jobs`
-    processes), reduce to a report.
+def run_check(theorem, jobs=1, **given):
+    """Check one claim: validate and default its parameters, given by name
+    (None for the default), enumerate its family, run each instance's step
+    (the family split over `jobs` processes), reduce to a report.
 
     n sets n_max where a claim takes one. Bad input, including a parameter
     the claim does not take, raises GraphError. A run that checks no instance
@@ -598,8 +598,7 @@ def run_check(theorem, n=None, s=None, d=None, trials=None, seed=None, jobs=1):
     if jobs < 1:
         raise GraphError(f"jobs must be >= 1, got jobs={jobs}")
     claim = CLAIMS[tid]
-    given = {"n": n, "s": s, "d": d, "trials": trials, "seed": seed}
-    taken = {key: "n" if key == "n_max" else key for key in claim.params}
+    taken = {key: _name(key) for key in claim.params}
     for name, value in given.items():
         if value is not None and name not in taken.values():
             raise GraphError(
@@ -608,7 +607,7 @@ def run_check(theorem, n=None, s=None, d=None, trials=None, seed=None, jobs=1):
     p = {}
     for key, (default, minimum) in claim.params.items():
         name = taken[key]
-        value = default if given[name] is None else given[name]
+        value = default if given.get(name) is None else given[name]
         if minimum is not None and value < minimum:
             raise GraphError(f"{tid} needs {name} >= {minimum}, got {name}={value}")
         p[key] = value

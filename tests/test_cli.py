@@ -6,6 +6,7 @@ fixture in conftest.py); one more runs the same pipe through the installed
 `blockspectra` console script and is skipped where that script is not on PATH.
 """
 
+import argparse
 import json
 import math
 import shutil
@@ -16,7 +17,10 @@ import pytest
 
 from blockspectra import cli, complete_graph, format_edge_list, path_graph, spectral_radius
 from blockspectra.cli import main
+from blockspectra.families import CAPS
 from blockspectra.graphs import MAX_ORDER
+from blockspectra.spectral import SPECTRAL_KINDS
+from blockspectra.verify import PARAMS
 
 
 # a UTF-16 byte-order mark before an otherwise valid edge list
@@ -381,3 +385,47 @@ def test_installed_console_script_pipe():
     )
     assert spec.returncode == 0
     assert spec.stdout.splitlines()[0] == "4.00000000000"
+
+
+def subcommand_parser(name):
+    (sub,) = [a for a in cli._build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    return sub.choices[name]
+
+
+class TestDerivedTables:
+    def test_verify_parameter_options_are_the_claim_params(self):
+        options = [a for a in subcommand_parser("verify")._actions if a.option_strings]
+        own = {"help", "format", "out", "jobs"}
+        assert [a.dest for a in options if a.dest not in own] == list(PARAMS)
+        for a in options:
+            if a.dest in PARAMS:
+                assert a.option_strings == [f"--{a.dest}"] and a.default is None
+
+    def test_matrix_names_map_one_to_one_onto_the_spectral_kinds(self):
+        (matrix,) = [a for a in subcommand_parser("spectrum")._actions if a.dest == "matrix"]
+        assert matrix.choices == ["adjacency", "cadjacency", "cdistance", "distance"]
+        kinds = [cli._MATRIX_KINDS[name] for name in matrix.choices]
+        assert sorted(kinds) == sorted(SPECTRAL_KINDS)
+
+
+class TestCaps:
+    """Every enumeration cap and order message comes from families.CAPS."""
+
+    FAMILIES = {"trees": "tree", "connected": "connected-graph", "cliquetrees": "clique-tree"}
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_order_outside_the_cap_exits_1(self, capsys, family):
+        name = self.FAMILIES[family]
+        cap = CAPS[name]
+        for n, message in [
+            (0, f"{name} enumeration needs n >= 1, got 0"),
+            (cap + 1, f"{name} enumeration capped at n = {cap}, got {cap + 1}"),
+        ]:
+            code, out, err = run_cli(capsys, ["enumerate", family, "--n", str(n)])
+            assert (code, out, err) == (1, "", f"error: {message}\n")
+
+    def test_clique_move_sampling_shares_the_clique_tree_cap(self, capsys):
+        cap = CAPS["clique-tree"]
+        code, out, err = run_cli(capsys, ["verify", "L2.1", "--n", str(cap + 1)])
+        assert (code, out) == (1, "")
+        assert err == f"error: clique-move sampling capped at n = {cap}, got n={cap + 1}\n"

@@ -29,6 +29,7 @@ from blockspectra import (
     enumerate_connected_graphs,
     enumerate_trees,
     format_edge_list,
+    from_edge_list,
     parse_edge_list,
     path_graph,
     random_clique_tree,
@@ -38,6 +39,7 @@ from blockspectra.verify import (
     ALIASES,
     CLAIMS,
     EPS,
+    PARAMS,
     TheoremReport,
     _comparators,
     run_check,
@@ -577,3 +579,58 @@ class TestReports:
     def test_tolerance_field(self):
         report = run_check("T2.4", n=5)
         assert report.tolerance == EPS
+
+
+class TestParams:
+    def test_params_are_the_names_the_claims_take(self):
+        taken = {"n" if key == "n_max" else key for c in CLAIMS.values() for key in c.params}
+        assert len(PARAMS) == len(set(PARAMS))
+        assert set(PARAMS) == taken
+
+    def test_unknown_keyword_is_a_graph_error(self):
+        with pytest.raises(GraphError, match=r"^T2.4 takes no parameter foo; it takes n, s$"):
+            run_check("T2.4", foo=1)
+
+
+class TestRelabelling:
+    """A claim's verdict does not depend on how its instances are labelled:
+    every enumerated graph replaced by a copy relabelled by a seeded random
+    permutation gives the same counts, statuses and margins. The radius
+    table is keyed by labelled graph, so a relabelled family shares fewer
+    keys and the comparators meet their instances under other labels."""
+
+    @pytest.mark.parametrize(
+        "tid, kwargs",
+        [
+            ("T2.4", dict(n=9)),
+            ("T4.5", dict(n=9)),
+            ("T4.6", dict(n=10)),
+            ("T5.2", dict(n=6)),
+            ("L2.3", dict(n=8, d=3)),
+        ],
+    )
+    def test_relabelled_family_keeps_the_verdict(self, monkeypatch, tid, kwargs):
+        plain = run_check(tid, **kwargs)
+        rng = random.Random(f"{tid} relabelled")
+        moved = []
+
+        def relabelling(enumerate_family):
+            def relabelled(*args):
+                for g in enumerate_family(*args):
+                    p = list(range(g.n))
+                    rng.shuffle(p)
+                    h = from_edge_list(g.n, [(p[u], p[v]) for u, v in g.edges])
+                    moved.append(h != g)
+                    yield h
+
+            return relabelled
+
+        for name in ("enumerate_clique_trees", "enumerate_trees", "enumerate_connected_graphs"):
+            monkeypatch.setattr(verify, name, relabelling(getattr(verify, name)))
+        other = run_check(tid, **kwargs)
+        assert any(moved)
+        keys = ("checked", "excluded", "ties", "passed")
+        assert [getattr(other, k) for k in keys] == [getattr(plain, k) for k in keys]
+        assert [r["status"] for r in other.rows] == [r["status"] for r in plain.rows]
+        margins = [sorted(r["margin"] for r in report.rows) for report in (other, plain)]
+        assert max(abs(a - b) for a, b in zip(*margins)) <= 1e-12
