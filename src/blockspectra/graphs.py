@@ -242,10 +242,10 @@ def _swaps(twin):
 def canonical_form(g):
     """Isomorphism-class key: equal for two graphs iff they are isomorphic.
 
-    The pair (signature, matrix). signature = (n, m, sorted cell index of
-    each vertex) over the refined degree partition is the colour-refinement
-    invariant. matrix is the least relabelled adjacency matrix, its rows
-    read as one n*n-bit integer, over the leaves of an
+    The pair (signature, matrix). signature, the sorted cell indices of the
+    vertices in the refined degree partition, is the colour-refinement
+    invariant, n entries long. matrix is the least relabelled adjacency
+    matrix, its rows packed into n*n bits, over the leaves of an
     individualisation-refinement search (McKay & Piperno, J. Symb. Comput.
     2014) on ordered partitions, refined by _refine_stack. The root is the
     degree cells in ascending degree. At each node the search takes the
@@ -321,14 +321,8 @@ def _canonical_forms(graphs):
         twins = [_twins(g.rows) for g in level]
         stacks[n] = adj != 0, np.array(twins)
         cells = _refine_stack(adj, adj.sum(-1).astype(np.int64))
-        # the signature's cell number of each place: cells starting up to it, less one
-        starts = np.zeros(cells.shape, dtype=bool)
-        starts[np.arange(len(level))[:, None], cells] = True
-        colors = (starts[:, None, :] & (np.arange(n) <= np.arange(n)[:, None])).sum(-1) - 1
-        roots = zip(level, twins, adj.sum((-2, -1)).tolist(), colors.tolist(),
-                    _nodes(*stacks[n], cells))
-        for k, (g, twin, twice_m, c, root) in enumerate(roots):
-            signature = (n, int(twice_m) // 2, tuple(c))
+        for k, (g, twin, root) in enumerate(zip(level, twins, _nodes(*stacks[n], cells))):
+            signature = tuple(sorted(root[0]))
             if root[2]:
                 sends.append((n, k, _search(g, twin, root, signature), None))
             else:
@@ -466,8 +460,9 @@ def _nodes(adj, twin, cells):
     twin of v. order lists the vertices in cell order, each cell ascending,
     and branch the vertices, ascending, of the first cell with the fewest
     twin classes, two at least. A node with no such cell is a leaf, with
-    branch empty and leaf the relabelled matrix as an integer, bit
-    (n-1-i)*n + j set iff the vertices at places i and j are adjacent."""
+    branch empty and leaf the relabelled matrix as bytes, whose bit
+    i*n + n-1-j, counted from the first byte's highest, is set iff the
+    vertices at places i and j are adjacent."""
     size, n = cells.shape
     rows = np.arange(size)[:, None]
     peers = (cells[:, :, None] == cells[:, None, :]) & (np.arange(n) < np.arange(n)[:, None])
@@ -479,14 +474,11 @@ def _nodes(adj, twin, cells):
     widths = np.bincount((cells + n * rows)[first], minlength=size * n).reshape(size, n)
     branch = np.where(widths > 1, widths, n + 1).argmin(-1)
     span = np.where(widths.max(-1) > 1, (cells == branch[:, None]).sum(-1), 0)
-    # each leaf's rows in place order, each row's places descending, so the
-    # bits read row after row are the integer's from the highest
+    # each leaf's rows in place order, each row's places descending, packed
+    # from the first bit, so leaves of one order compare as their bits do
     at = order[span == 0]
     bits = adj[np.flatnonzero(span == 0)[:, None, None], at[:, :, None], at[:, None, ::-1]]
-    packed = np.packbits(bits.reshape(-1, n * n), axis=-1).tobytes()
-    width, pad = (n * n + 7) // 8, -n * n % 8
-    leaves = iter([int.from_bytes(packed[i:i + width], "big") >> pad
-                   for i in range(0, len(packed), width)])
+    leaves = iter([row.tobytes() for row in np.packbits(bits.reshape(-1, n * n), axis=-1)])
     return [(c, o, o[i:i + s], None if s else next(leaves))
             for c, o, i, s in zip(cells.tolist(), order.tolist(), branch.tolist(), span.tolist())]
 

@@ -164,10 +164,14 @@ def jacobi_eigh(m):
     rounds = _round_robin(n)
     # summing the strict upper triangle directly avoids the catastrophic
     # cancellation of frobenius-minus-diagonal once entries are near zero
-    for _ in range(30):
+    for sweep in range(31):
         off = math.sqrt(2.0 * float((a[iu] ** 2).sum()))
         if off <= stop:
             break
+        if sweep == 30:
+            raise SpectralError(
+                f"jacobi failed to converge in 30 sweeps (off-diagonal {off:.3e})"
+            )
         for p, q in rounds:
             apq = a[p, q]
             big = np.abs(apq) > skip
@@ -188,12 +192,6 @@ def jacobi_eigh(m):
                 lines[p] = cth * x - sth * y
                 lines[q] = sth * x + cth * y
             a[p, q] = a[q, p] = 0.0
-    else:
-        off = math.sqrt(2.0 * float((a[iu] ** 2).sum()))
-        if off > stop:
-            raise SpectralError(
-                f"jacobi failed to converge in 30 sweeps (off-diagonal {off:.3e})"
-            )
     return np.diagonal(a).copy(), v
 
 

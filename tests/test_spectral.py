@@ -265,6 +265,12 @@ class TestSolverRoutes:
             for m in jacobi_matrices():
                 jacobi_eigh(m)
 
+    def test_sweeps_that_rotate_nothing_raise_after_30(self, monkeypatch):
+        # with no rounds a sweep leaves the off-diagonal mass where it was
+        monkeypatch.setattr(spectral, "_round_robin", lambda n: [])
+        with pytest.raises(SpectralError, match="jacobi failed to converge in 30 sweeps"):
+            jacobi_eigh([[0, 1], [1, 0]])
+
     def test_kernel_iterate_falls_to_jacobi(self):
         # the all-ones start vector is annihilated by m + cI here
         m = np.array([[0.0, -1.0], [-1.0, 0.0]])

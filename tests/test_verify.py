@@ -5,6 +5,7 @@ small counterexamples, and the harness must report them as violations rather
 than pass.
 """
 
+import collections
 import concurrent.futures
 import itertools
 import json
@@ -33,6 +34,7 @@ from blockspectra import (
     parse_edge_list,
     path_graph,
     random_clique_tree,
+    spectral_radii,
     verify,
 )
 from blockspectra.verify import (
@@ -277,6 +279,23 @@ class TestComparators:
             orders = sorted({min(o, o[::-1]) for o in itertools.permutations(sizes)})
             expected = [clique_path(o).edges for o in orders]
             assert [g.edges for g in _comparators("path", sizes)] == expected, sizes
+
+    def test_reversed_paths_share_radii(self):
+        """A clique path and its reversal are isomorphic, the premise of
+        _comparators keeping min(o, o[::-1]) alone: every ordering it keeps
+        for the block sizes of the clique trees of order up to 9 with 3
+        blocks or more has its reversal's radii in both complement kinds."""
+        multisets = {
+            tuple(sorted(map(len, block_decomposition(g).blocks)))
+            for n in range(4, 10) for s in range(3, n) for g in enumerate_clique_trees(n, s)
+        }
+        orders = [o for sizes in sorted(multisets)
+                  for o in sorted({min(o, o[::-1]) for o in itertools.permutations(sizes)})]
+        for kind in ("complement_adjacency", "complement_distance"):
+            radii = spectral_radii([clique_path(o) for o in orders], kind)
+            back = spectral_radii([clique_path(o[::-1]) for o in orders], kind)
+            for o, a, b in zip(orders, (r.value for r in radii), (r.value for r in back)):
+                assert abs(a - b) <= 1e-12 * max(abs(a), abs(b)), (kind, o)
 
 
 class TestIdentity:
@@ -632,5 +651,31 @@ class TestRelabelling:
         keys = ("checked", "excluded", "ties", "passed")
         assert [getattr(other, k) for k in keys] == [getattr(plain, k) for k in keys]
         assert [r["status"] for r in other.rows] == [r["status"] for r in plain.rows]
+        margins = [sorted(r["margin"] for r in report.rows) for report in (other, plain)]
+        assert max(abs(a - b) for a, b in zip(*margins)) <= 1e-12
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    @pytest.mark.parametrize("tid", ["L2.1", "L4.2"])
+    def test_relabelled_move_trees_keep_the_verdict(self, monkeypatch, tid, seed):
+        """Each sampled clique tree replaced by a copy relabelled by a
+        permutation seeded from the tree's own seed."""
+        plain = run_check(tid, trials=300, seed=seed)
+        moved = []
+
+        def relabelled(n, s, tree_seed):
+            g = random_clique_tree(n, s, tree_seed)
+            p = list(range(n))
+            random.Random(tree_seed).shuffle(p)
+            h = from_edge_list(n, [(p[u], p[v]) for u, v in g.edges])
+            moved.append(h != g)
+            return h
+
+        monkeypatch.setattr(verify, "random_clique_tree", relabelled)
+        other = run_check(tid, trials=300, seed=seed)
+        assert any(moved)
+        keys = ("checked", "excluded", "ties", "passed")
+        assert [getattr(other, k) for k in keys] == [getattr(plain, k) for k in keys]
+        statuses = [collections.Counter(r["status"] for r in report.rows) for report in (other, plain)]
+        assert statuses[0] == statuses[1]
         margins = [sorted(r["margin"] for r in report.rows) for report in (other, plain)]
         assert max(abs(a - b) for a, b in zip(*margins)) <= 1e-12
