@@ -1,8 +1,10 @@
 """Dense symmetric eigen-computations for graph matrices.
 
 Builds adjacency and distance matrices (exact integers) and computes dominant
-eigenpairs in float64 by shifted power iteration with a round-robin
-(parallel-order) Jacobi fallback. spectral_radii solves many graphs at once:
+eigenpairs in float64 by shifted power iteration. Where it stalls, a
+Rayleigh-Ritz step on repeated squares of the shifted matrix finishes the
+solve, with round-robin (parallel-order) Jacobi on the small projected
+problems only. spectral_radii solves many graphs at once:
 same-order matrices are stacked and iterated together, with every row getting
 the bits the one-matrix solver gives it. The complement distance matrix is
 the object behind the identity D(G^c) = J - I + A(G), valid whenever
@@ -40,6 +42,18 @@ DEFAULT_TOL = 1e-10
 # slower); a stack of 256 matrices of order 12 takes about 300 KB.
 STACK_ROWS = 256
 STACK_ENTRIES = 1 << 18
+
+# The Ritz fallback projects onto this many columns of each repeated square.
+# With the fallback forced on the nonzero test matrices of order <= 121,
+# four columns took 629 rounds in all against 831 for one and 731 for two,
+# and left P_120's vector 2.5e-14 from eigh's against 8.5e-13 for one;
+# eight columns doubled the time of P_120's solve.
+RITZ_BLOCK = 4
+# Round k holds the 2^(k-1)-th power of the shifted matrix. Two of its
+# eigenvalues in the ratio 1 - 2^-53, the least gap float64 holds, are in the
+# ratio e^-1024 by round 64, which underflows, so later rounds cannot help.
+# The most rounds measured was 17, on the same matrices and on P_120.
+RITZ_ROUNDS = 64
 
 SPECTRAL_KINDS = ("adjacency", "distance", "complement_adjacency", "complement_distance")
 
@@ -117,10 +131,12 @@ def power_iteration(m, tol=DEFAULT_TOL):
     matrix is positive semidefinite and bipartite adjacency matrices cannot
     oscillate. Starts from the normalized all-ones vector; converged when two
     successive Rayleigh quotients differ by less than tol and the residual
-    ||mx - lambda x|| drops below tol. Returns None if an iterate falls into
-    the kernel of m + cI or the 100*n iteration cap is reached (caller falls
-    back to Jacobi). The kernel is never reached for a nonnegative m, such as
-    the four graph matrices: (m + cI)x > 0 for every x > 0.
+    ||mx - lambda x|| drops below tol; the residual is computed only once the
+    quotients agree. Returns None if an iterate falls into the kernel of
+    m + cI or the 100*n iteration cap is reached (dominant_eigenpair then
+    finishes by Rayleigh-Ritz). The kernel is never reached for a nonnegative
+    m, such as the four graph matrices: (m + cI)x > 0 for every x > 0. Norms
+    are math.sqrt(v @ v), the dot product np.linalg.norm takes of a 1-D array.
     """
     a = _check_symmetric(m)
     n = a.shape[0]
@@ -133,12 +149,14 @@ def power_iteration(m, tol=DEFAULT_TOL):
     for k in range(100 * n):
         y = a @ x
         lam = float(x @ y)
-        residual = float(np.linalg.norm(y - lam * x))
-        if lam_prev is not None and abs(lam - lam_prev) < tol and residual < tol:
-            return EigenPair(lam, _fix_sign(x), residual, k, "power")
+        if lam_prev is not None and abs(lam - lam_prev) < tol:
+            r = y - lam * x
+            residual = math.sqrt(r @ r)
+            if residual < tol:
+                return EigenPair(lam, _fix_sign(x), residual, k, "power")
         lam_prev = lam
         z = y + c * x
-        nz = float(np.linalg.norm(z))
+        nz = math.sqrt(z @ z)
         if nz < 1e-12 * (c + 1.0):
             return None
         x = z / nz
@@ -216,10 +234,19 @@ def _round_robin(n):
 def dominant_eigenpair(m, tol=DEFAULT_TOL):
     """Largest eigenvalue and unit eigenvector of a symmetric matrix.
 
-    Power iteration first (cap 100*n steps); on stall, full Jacobi fallback
-    (cap 30 sweeps). Exceeding both caps is a hard error, never a silent
-    approximation. For nonnegative irreducible input the vector is the Perron
-    vector, normalized with positive sign. tol must be positive and finite.
+    Power iteration first (cap 100*n steps). On a stall, Rayleigh-Ritz on
+    repeated squares (simultaneous iteration, Rutishauser 1970) finishes:
+    B = (m + 2cI)/(3c), with c the largest absolute row sum, has eigenvalues
+    in [1/3, 1], in the order of m's, so no power of it vanishes. Each round
+    orthonormalises B's RITZ_BLOCK largest-norm columns through jacobi_eigh
+    of their Gram matrix, dropping directions whose Gram eigenvalue is at or
+    below 1e-12 of the largest, and solves the projection of m onto them with
+    jacobi_eigh. The top Ritz pair is returned, as method "ritz" with the
+    rounds taken as its iterations, once its residual is below tol; otherwise
+    B <- B @ B, rescaled by its largest entry. Exceeding RITZ_ROUNDS rounds
+    is a hard error, never a silent approximation. For nonnegative
+    irreducible input the vector is the Perron vector, normalized with
+    positive sign. tol must be positive and finite.
     """
     _check_tol(tol)
     a = _check_symmetric(m)
@@ -227,19 +254,31 @@ def dominant_eigenpair(m, tol=DEFAULT_TOL):
     if pair is not None:
         return pair
     n = a.shape[0]
-    values, vectors = jacobi_eigh(a)
-    k = int(np.argmax(values))
-    x = vectors[:, k]
-    x = x / float(np.linalg.norm(x))
-    x = _fix_sign(x)
-    lam = float(x @ (a @ x))
-    residual = float(np.linalg.norm(a @ x - lam * x))
-    if residual > tol:
-        raise SpectralError(
-            f"eigensolver failed: power iteration stalled and jacobi residual "
-            f"{residual:.3e} exceeds tol {tol:.1e}"
-        )
-    return EigenPair(lam, x, residual, 100 * n, "jacobi")
+    c = float(np.abs(a).sum(axis=1).max())
+    b = (a + 2.0 * c * np.eye(n)) / (3.0 * c)
+    for rounds in range(1, RITZ_ROUNDS + 1):
+        cols = np.argsort(-np.einsum("ij,ij->j", b, b), kind="stable")[:RITZ_BLOCK]
+        q = b[:, cols]
+        gram = q.T @ q
+        g, w = jacobi_eigh((gram + gram.T) / 2.0)
+        keep = g > 1e-12 * g.max()
+        basis = q @ (w[:, keep] / np.sqrt(g[keep]))
+        h = basis.T @ (a @ basis)
+        values, vectors = jacobi_eigh((h + h.T) / 2.0)
+        x = basis @ vectors[:, int(np.argmax(values))]
+        x = _fix_sign(x / math.sqrt(x @ x))
+        y = a @ x
+        lam = float(x @ y)
+        r = y - lam * x
+        residual = math.sqrt(r @ r)
+        if residual < tol:
+            return EigenPair(lam, x, residual, rounds, "ritz")
+        b = b @ b
+        b /= np.abs(b).max()
+    raise SpectralError(
+        f"eigensolver failed: power iteration stalled and the Ritz residual "
+        f"{residual:.3e} exceeds tol {tol:.1e} after {RITZ_ROUNDS} rounds"
+    )
 
 
 def _matrix_stack(graphs, kind):
@@ -285,8 +324,9 @@ def _power_stack(a, tol):
     Each row follows power_iteration's arithmetic exactly. The iterates are
     (N, n, 1) columns, so a @ x, x^T y and z^T z are stacked matmuls that make
     the same per-slice BLAS gemv and dot calls as the one-matrix a @ x, x @ y
-    and norm, and each row gets the bits it gets alone. The residual is
-    computed only for rows whose Rayleigh quotient moved by less than tol.
+    and z @ z, and each row gets the bits it gets alone. As there, the
+    residual is computed only for rows whose Rayleigh quotient moved by less
+    than tol.
     Returns one EigenPair per row, or None for a row that leaves the batch:
     an iterate in the kernel of m + cI, which a zero matrix's first iterate
     is, or a row at the 100*n cap.

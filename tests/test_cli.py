@@ -124,6 +124,22 @@ class TestSpectrum:
             f"residual {pair.residual:#.12g}"
         )
 
+    def test_stalled_path_is_finished_by_ritz(self, capsys, monkeypatch):
+        # P_120 stalls power iteration; its Perron pair is known in closed form
+        _, text, _ = run_cli(capsys, ["gen", "path:120"])
+        code, out, _ = run_cli(
+            capsys, ["spectrum", "--verbose"], stdin_text=text, monkeypatch=monkeypatch
+        )
+        assert code == 0
+        value, vector, solver = out.splitlines()
+        assert solver.split()[:2] == ["method", "ritz"]
+        assert abs(float(value) - 2 * math.cos(math.pi / 121)) <= 1e-11
+        sines = [math.sin(math.pi * j / 121) for j in range(1, 121)]
+        norm = math.sqrt(sum(x * x for x in sines))
+        entries = [float(x) for x in vector.split()]
+        assert len(entries) == 120
+        assert max(abs(x - y / norm) for x, y in zip(entries, sines)) <= 1e-9
+
     def test_cdistance_of_small_diameter_exits_1(self, capsys, monkeypatch):
         code, _, err = run_cli(
             capsys,

@@ -1,10 +1,10 @@
 """Eigensolvers and matrix builders, checked against numpy.linalg.eigh.
 
 numpy's eigh appears only as a test oracle. The library's two routes (shifted
-power iteration, round-robin (parallel-order) Jacobi) are exercised both
-through dominant_eigenpair and directly; the round-robin Jacobi is held to a
-row-cyclic Jacobi reference, and the batched spectral_radii to the bits of
-the one-matrix solver.
+power iteration, and Rayleigh-Ritz on repeated squares where it stalls) are
+exercised through dominant_eigenpair, and its eigensolvers directly; the
+round-robin (parallel-order) Jacobi is held to a row-cyclic Jacobi reference,
+and the batched spectral_radii to the bits of the one-matrix solver.
 """
 
 import hashlib
@@ -192,7 +192,7 @@ class TestDominantEigenpair:
 
 def jacobi_matrices():
     """Zero matrices, small integer and Gaussian symmetric matrices, P_120 and
-    P_121 (which power iteration leaves to Jacobi), and Gaussian matrices of
+    P_121 (on which power iteration stalls), and Gaussian matrices of
     order 2 and of odd orders, whose round-robin schedule has a dummy index."""
     rng = np.random.default_rng(21)
     mats = [np.zeros((n, n)) for n in range(1, 6)]
@@ -271,13 +271,36 @@ class TestSolverRoutes:
         with pytest.raises(SpectralError, match="jacobi failed to converge in 30 sweeps"):
             jacobi_eigh([[0, 1], [1, 0]])
 
-    def test_kernel_iterate_falls_to_jacobi(self):
+    def test_kernel_iterate_falls_to_ritz(self):
         # the all-ones start vector is annihilated by m + cI here
         m = np.array([[0.0, -1.0], [-1.0, 0.0]])
         assert power_iteration(m) is None
         pair = dominant_eigenpair(m)
-        assert pair.method == "jacobi"
+        assert pair.method == "ritz"
         assert pair.value == pytest.approx(1.0, abs=1e-12)
+
+    def test_ritz_fallback_agrees_with_eigvalsh(self, monkeypatch):
+        # every nonzero matrix goes through the fallback, which must also
+        # handle a top eigenvalue of multiplicity n (-I_3)
+        monkeypatch.setattr(spectral, "power_iteration", lambda m, tol: None)
+        mats = [m for m in jacobi_matrices() if m.any()]
+        mats += [-np.eye(3), np.array([[0.0, -1.0], [-1.0, 0.0]])]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for m in mats:
+                n = m.shape[0]
+                scale = max(1.0, float(np.abs(m).max()))
+                pair = dominant_eigenpair(m)
+                assert pair.method == "ritz"
+                assert 1 <= pair.iterations <= spectral.RITZ_ROUNDS
+                assert abs(pair.value - np.linalg.eigvalsh(m)[-1]) <= 1e-12 * scale * n
+                assert pair.residual < DEFAULT_TOL
+                assert abs(float(pair.vector @ pair.vector) - 1.0) < 1e-12
+
+    def test_ritz_rounds_are_capped(self):
+        message = r"Ritz residual \S+ exceeds tol 1.0e-300 after 64 rounds"
+        with pytest.raises(SpectralError, match=message):
+            dominant_eigenpair(adjacency_matrix(path_graph(5)), tol=1e-300)
 
 
 class TestRayleigh:
@@ -477,10 +500,10 @@ class TestSpectralRadii:
         assert same_bits(again, zero) and other.value > 0
 
     def test_straggler_gets_the_one_matrix_result(self):
-        # power iteration reaches its 100*n cap on P_120 and falls back to Jacobi
+        # power iteration reaches its 100*n cap on P_120 and falls back to Ritz
         path, tree = spectral_radii([path_graph(120), broom(120)], "adjacency")
         ref = dominant_eigenpair(adjacency_matrix(path_graph(120)))
-        assert ref.method == "jacobi"
+        assert ref.method == "ritz"
         assert same_bits(path, ref)
         assert same_bits(tree, dominant_eigenpair(adjacency_matrix(broom(120))))
 
