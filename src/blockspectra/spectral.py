@@ -43,16 +43,19 @@ DEFAULT_TOL = 1e-10
 STACK_ROWS = 256
 STACK_ENTRIES = 1 << 18
 
-# The Ritz fallback projects onto this many columns of each repeated square.
-# With the fallback forced on the nonzero test matrices of order <= 121,
-# four columns took 629 rounds in all against 831 for one and 731 for two,
-# and left P_120's vector 2.5e-14 from eigh's against 8.5e-13 for one;
-# eight columns doubled the time of P_120's solve.
+# The Ritz fallback carries a start block of this many columns through the
+# repeated squares: the all-ones vector and RITZ_BLOCK - 1 Weyl sequences
+# frac(i*k*GOLDEN) - 1/2. With the fallback forced on the nonzero test
+# matrices of order <= 121 and on I_4 + (1+1e-7)J_100/100, four columns took
+# 704 rounds in all and at most 16, against 767 and at most 29 for two; the
+# all-ones column alone returns -1 for [[0, -1], [-1, 0]], whose eigenvector
+# it is; eight columns tripled the time of P_120's solve.
 RITZ_BLOCK = 4
+GOLDEN = (1.0 + math.sqrt(5.0)) / 2.0
 # Round k holds the 2^(k-1)-th power of the shifted matrix. Two of its
 # eigenvalues in the ratio 1 - 2^-53, the least gap float64 holds, are in the
 # ratio e^-1024 by round 64, which underflows, so later rounds cannot help.
-# The most rounds measured was 17, on the same matrices and on P_120.
+# The most rounds measured was 16, on the same matrices and on P_120.
 RITZ_ROUNDS = 64
 
 SPECTRAL_KINDS = ("adjacency", "distance", "complement_adjacency", "complement_distance")
@@ -238,15 +241,18 @@ def dominant_eigenpair(m, tol=DEFAULT_TOL):
     repeated squares (simultaneous iteration, Rutishauser 1970) finishes:
     B = (m + 2cI)/(3c), with c the largest absolute row sum, has eigenvalues
     in [1/3, 1], in the order of m's, so no power of it vanishes. Each round
-    orthonormalises B's RITZ_BLOCK largest-norm columns through jacobi_eigh
-    of their Gram matrix, dropping directions whose Gram eigenvalue is at or
-    below 1e-12 of the largest, and solves the projection of m onto them with
-    jacobi_eigh. The top Ritz pair is returned, as method "ritz" with the
-    rounds taken as its iterations, once its residual is below tol; otherwise
-    B <- B @ B, rescaled by its largest entry. Exceeding RITZ_ROUNDS rounds
-    is a hard error, never a silent approximation. For nonnegative
-    irreducible input the vector is the Perron vector, normalized with
-    positive sign. tol must be positive and finite.
+    orthonormalises B @ S, for a fixed start block S of RITZ_BLOCK columns,
+    through jacobi_eigh of its Gram matrix, dropping directions whose Gram
+    eigenvalue is at or below 1e-12 of the largest, and solves the
+    projection of m onto it with jacobi_eigh. The top Ritz pair is returned,
+    as method "ritz" with the rounds taken as its iterations, once its
+    residual is below tol; otherwise B <- B @ B, rescaled by its largest
+    entry. A residual below tol certifies an eigenpair, and it is the largest
+    one when S meets its eigenvector: S's all-ones column meets the dominant
+    eigenvector of every nonnegative matrix, reducible or not. Exceeding
+    RITZ_ROUNDS rounds is a hard error, never a silent approximation. For
+    nonnegative irreducible input the vector is the Perron vector,
+    normalized with positive sign. tol must be positive and finite.
     """
     _check_tol(tol)
     a = _check_symmetric(m)
@@ -256,13 +262,18 @@ def dominant_eigenpair(m, tol=DEFAULT_TOL):
     n = a.shape[0]
     c = float(np.abs(a).sum(axis=1).max())
     b = (a + 2.0 * c * np.eye(n)) / (3.0 * c)
+    weyl = np.arange(1.0, n + 1.0)[:, None] * np.arange(1.0, RITZ_BLOCK) * GOLDEN
+    start = np.hstack([np.ones((n, 1)), weyl - np.floor(weyl) - 0.5])
     for rounds in range(1, RITZ_ROUNDS + 1):
-        cols = np.argsort(-np.einsum("ij,ij->j", b, b), kind="stable")[:RITZ_BLOCK]
-        q = b[:, cols]
-        gram = q.T @ q
-        g, w = jacobi_eigh((gram + gram.T) / 2.0)
-        keep = g > 1e-12 * g.max()
-        basis = q @ (w[:, keep] / np.sqrt(g[keep]))
+        basis = b @ start
+        # a second pass restores orthonormality lost to near-parallel
+        # columns; with one, I_r + (1+d)J_k/k (r <= 30, k <= 200,
+        # 1e-9 <= d <= 1e-4) returned 1 in place of 1 + d for 13 of 80 choices
+        for _ in range(2):
+            gram = basis.T @ basis
+            g, w = jacobi_eigh((gram + gram.T) / 2.0)
+            keep = g > 1e-12 * g.max()
+            basis = basis @ (w[:, keep] / np.sqrt(g[keep]))
         h = basis.T @ (a @ basis)
         values, vectors = jacobi_eigh((h + h.T) / 2.0)
         x = basis @ vectors[:, int(np.argmax(values))]

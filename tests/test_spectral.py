@@ -281,10 +281,19 @@ class TestSolverRoutes:
 
     def test_ritz_fallback_agrees_with_eigvalsh(self, monkeypatch):
         # every nonzero matrix goes through the fallback, which must also
-        # handle a top eigenvalue of multiplicity n (-I_3)
+        # handle a top eigenvalue of multiplicity n (-I_3), reducible input
+        # whose heaviest columns lie outside the dominant block, a basis whose
+        # columns are near parallel (I_30 + (1+1e-6)J_100/100), and a
+        # disconnected graph
         monkeypatch.setattr(spectral, "power_iteration", lambda m, tol: None)
         mats = [m for m in jacobi_matrices() if m.any()]
         mats += [-np.eye(3), np.array([[0.0, -1.0], [-1.0, 0.0]])]
+        for ones, gap in ((4, 1e-7), (30, 1e-6)):
+            m = np.zeros((ones + 100, ones + 100))
+            m[:ones, :ones] = np.eye(ones)
+            m[ones:, ones:] = (1.0 + gap) / 100.0
+            mats.append(m)
+        mats.append(adjacency_matrix(from_edge_list(181, [(i, i + 1) for i in range(119)])))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             for m in mats:
