@@ -1,19 +1,19 @@
 """Dense symmetric eigen-computations for graph matrices.
 
 Builds adjacency and distance matrices (exact integers) and computes dominant
-eigenpairs in float64 by shifted power iteration. Where it stalls, a
-Rayleigh-Ritz step on repeated squares of the shifted matrix finishes the
-solve, with round-robin (parallel-order) Jacobi on the small projected
-problems only. spectral_radii solves many graphs at once:
-same-order matrices are stacked and iterated together, with every row getting
-the bits the one-matrix solver gives it. The complement distance matrix is
-the object behind the identity D(G^c) = J - I + A(G), valid whenever
-diameter(G) > 3.
+eigenpairs in float64 by shifted power iteration. Where it stalls, Lanczos
+with full reorthogonalisation finishes, and jacobi_eigh takes the top
+eigenpair of its tridiagonal (Jacobi) matrix by Sturm-sequence bisection.
+spectral_radii solves many graphs at once: same-order matrices are stacked
+and iterated together, with every row getting the bits the one-matrix solver
+gives it. The complement distance matrix is the object behind the identity
+D(G^c) = J - I + A(G), valid whenever diameter(G) > 3.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,20 +43,11 @@ DEFAULT_TOL = 1e-10
 STACK_ROWS = 256
 STACK_ENTRIES = 1 << 18
 
-# The Ritz fallback carries a start block of this many columns through the
-# repeated squares: the all-ones vector and RITZ_BLOCK - 1 Weyl sequences
-# frac(i*k*GOLDEN) - 1/2. With the fallback forced on the nonzero test
-# matrices of order <= 121 and on I_4 + (1+1e-7)J_100/100, four columns took
-# 704 rounds in all and at most 16, against 767 and at most 29 for two; the
-# all-ones column alone returns -1 for [[0, -1], [-1, 0]], whose eigenvector
-# it is; eight columns tripled the time of P_120's solve.
-RITZ_BLOCK = 4
+# Both power iteration loops give up after POWER_STEPS steps, and Lanczos
+# finishes the matrix. No radius in bench/reference.json or in the golden
+# cases takes more than 166 steps, so every verify radius keeps its bits.
+POWER_STEPS = 1000
 GOLDEN = (1.0 + math.sqrt(5.0)) / 2.0
-# Round k holds the 2^(k-1)-th power of the shifted matrix. Two of its
-# eigenvalues in the ratio 1 - 2^-53, the least gap float64 holds, are in the
-# ratio e^-1024 by round 64, which underflows, so later rounds cannot help.
-# The most rounds measured was 16, on the same matrices and on P_120.
-RITZ_ROUNDS = 64
 
 SPECTRAL_KINDS = ("adjacency", "distance", "complement_adjacency", "complement_distance")
 
@@ -136,20 +127,19 @@ def power_iteration(m, tol=DEFAULT_TOL):
     successive Rayleigh quotients differ by less than tol and the residual
     ||mx - lambda x|| drops below tol; the residual is computed only once the
     quotients agree. Returns None if an iterate falls into the kernel of
-    m + cI or the 100*n iteration cap is reached (dominant_eigenpair then
-    finishes by Rayleigh-Ritz). The kernel is never reached for a nonnegative
-    m, such as the four graph matrices: (m + cI)x > 0 for every x > 0. Norms
+    m + cI or POWER_STEPS steps pass (dominant_eigenpair then finishes by
+    Lanczos). The kernel is never reached for a nonnegative m, such as the
+    four graph matrices: (m + cI)x > 0 for every x > 0. Norms
     are math.sqrt(v @ v), the dot product np.linalg.norm takes of a 1-D array.
     """
     a = _check_symmetric(m)
     n = a.shape[0]
+    x = np.ones(n) / math.sqrt(n)
     if not a.any():
-        x = np.ones(n) / math.sqrt(n)
         return EigenPair(0.0, x, 0.0, 0, "power")
     c = float(np.abs(a).sum(axis=1).max())
-    x = np.ones(n) / math.sqrt(n)
     lam_prev = None
-    for k in range(100 * n):
+    for k in range(POWER_STEPS):
         y = a @ x
         lam = float(x @ y)
         if lam_prev is not None and abs(lam - lam_prev) < tol:
@@ -166,130 +156,133 @@ def power_iteration(m, tol=DEFAULT_TOL):
     return None
 
 
-def jacobi_eigh(m):
-    """Full symmetric eigendecomposition by round-robin (parallel-order)
-    Jacobi rotations.
+def _start(n):
+    """The unit vector along 1 + (frac(i*GOLDEN) - 1/2)/2, i = 1..n: positive,
+    so it meets the dominant eigenvector of every nonnegative matrix, and,
+    unlike the all-ones vector, no eigenvector of [[0, -1], [-1, 0]]."""
+    weyl = np.arange(1.0, n + 1.0) * GOLDEN
+    s = 1.0 + 0.5 * (weyl - np.floor(weyl) - 0.5)
+    return s / math.sqrt(s @ s)
 
-    Each sweep visits every pair (p, q) once, in rounds of disjoint pairs;
-    the rotations of one round commute, so they are applied together as one
-    J^T A J. Returns (eigenvalues, eigenvectors-as-columns), unsorted. Raises
-    SpectralError if the off-diagonal mass has not vanished after 30 sweeps.
+
+def jacobi_eigh(alpha, beta):
+    """Largest eigenvalue and a unit eigenvector of the Jacobi matrix T (the
+    symmetric tridiagonal matrix with diagonal alpha, k floats, and
+    off-diagonal beta, k - 1 floats), such as the T_k that Lanczos builds.
+
+    Sturm-sequence bisection (Golub & Van Loan, 4th ed., §8.4.1): every
+    eigenvalue of T lies below x iff every pivot of T - xI = LDL^T,
+    q_i = alpha_i - x - beta_{i-1}^2 / q_{i-1}, is negative. From the
+    Gershgorin bounds, [lo, hi] shrinks to 2^-52 times the largest of its
+    first width, |lo| and |hi|; three steps of inverse iteration with the
+    shift hi + that width, through the same factorisation, give the vector.
     """
-    a = _check_symmetric(m).copy()
-    n = a.shape[0]
-    v = np.eye(n)
-    scale = max(1.0, float(np.abs(a).max()))
-    stop = 1e-14 * scale * n
-    skip = stop / (2 * n)
-    iu = np.triu_indices(n, 1)
-    rounds = _round_robin(n)
-    # summing the strict upper triangle directly avoids the catastrophic
-    # cancellation of frobenius-minus-diagonal once entries are near zero
-    for sweep in range(31):
-        off = math.sqrt(2.0 * float((a[iu] ** 2).sum()))
-        if off <= stop:
+    k = len(alpha)
+    b2 = [0.0] + [b * b for b in beta]
+    pivmin = sys.float_info.min * max(1.0, *b2)
+
+    def below(x):
+        # a pivot of magnitude under pivmin counts as -pivmin
+        q = 1.0
+        for a, bb in zip(alpha, b2):
+            q = a - x - bb / q
+            if q >= pivmin:
+                return False
+            if q > -pivmin:
+                q = -pivmin
+        return True
+
+    r = [0.0] + [abs(b) for b in beta] + [0.0]
+    lo = min(a - r[i] - r[i + 1] for i, a in enumerate(alpha))
+    hi = max(a + r[i] + r[i + 1] for i, a in enumerate(alpha))
+    width = 2.0**-52 * max(hi - lo, abs(lo), abs(hi))
+    while hi - lo > width:
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
             break
-        if sweep == 30:
-            raise SpectralError(
-                f"jacobi failed to converge in 30 sweeps (off-diagonal {off:.3e})"
-            )
-        for p, q in rounds:
-            apq = a[p, q]
-            big = np.abs(apq) > skip
-            if not big.all():
-                p, q, apq = p[big], q[big], apq[big]
-                if not len(p):
-                    continue
-            tau = (a[q, q] - a[p, p]) / (2.0 * apq)
-            # the sign rule of tau >= 0 (which keeps -0.0 positive) without
-            # evaluating a branch that divides by zero
-            t = np.where(tau >= 0, 1.0, -1.0) / (np.abs(tau) + np.sqrt(1.0 + tau * tau))
-            cth = 1.0 / np.sqrt(1.0 + t * t)
-            sth = (t * cth)[:, None]
-            cth = cth[:, None]
-            # the columns of a, then its rows, then the columns of v
-            for lines in (a.T, a, v.T):
-                x, y = lines[p], lines[q]
-                lines[p] = cth * x - sth * y
-                lines[q] = sth * x + cth * y
-            a[p, q] = a[q, p] = 0.0
-    return np.diagonal(a).copy(), v
+        if below(mid):
+            hi = mid
+        else:
+            lo = mid
+    q, d = 1.0, []
+    for a, bb in zip(alpha, b2):
+        q = a - (hi + width) - bb / q
+        q = q if abs(q) >= pivmin else -pivmin
+        d.append(q)
+    l = [b / q for b, q in zip(beta, d)]
+    y = _start(k).tolist()
+    for _ in range(3):
+        for i in range(1, k):
+            y[i] -= l[i - 1] * y[i - 1]
+        y = [v / q for v, q in zip(y, d)]
+        for i in range(k - 2, -1, -1):
+            y[i] -= l[i] * y[i + 1]
+        norm = math.hypot(*y)
+        y = [v / norm for v in y]
+    return hi, np.array(y)
 
 
-def _round_robin(n):
-    """The rounds of one Jacobi sweep over n >= 1 indices, as (p, q) index
-    arrays with p < q: every pair once, each round's pairs disjoint.
+def _lanczos(a, tol):
+    """Top eigenpair of a nonzero symmetric float matrix by Lanczos with full
+    reorthogonalisation (Lanczos 1950; Golub & Van Loan, 4th ed., §10.1).
 
-    The circle method on m = n rounded up to even: round r pairs r + k with
-    r - k modulo m - 1 for k = 1 .. m/2 - 1, and r with m - 1. For odd n,
-    m - 1 = n is a dummy index and its pair is dropped (n = 1: one empty round).
+    From _start(n), each step appends the next unit vector to a k x n basis,
+    grown by doubling, and orthogonalises a @ q against the whole basis in two
+    classical Gram-Schmidt passes. Every 32 steps, at a next vector shorter
+    than 1e-12 of the largest absolute row sum, and at k = n, jacobi_eigh of
+    T_k gives x = Q^T s, returned as method "ritz" with k as its iterations
+    once the true residual ||ax - lambda x|| is below tol. A residual at or
+    above tol at k = n, or at a next vector of length zero, is a hard error.
     """
-    m = n + n % 2
-    r = np.arange(m - 1)[:, None]
-    k = np.arange(1, m // 2)
-    x, y = (r + k) % (m - 1), (r - k) % (m - 1)
-    if n % 2 == 0:
-        x = np.hstack([x, r])
-        y = np.hstack([y, np.full_like(r, n - 1)])
-    return list(zip(np.minimum(x, y), np.maximum(x, y)))
+    n = a.shape[0]
+    small = 1e-12 * float(np.abs(a).sum(axis=1).max())
+    basis = np.empty((min(n, 32), n))
+    alpha, beta = [], []
+    q = _start(n)
+    for k in range(1, n + 1):
+        if k > len(basis):
+            basis = np.concatenate([basis, np.empty((min(len(basis), n - len(basis)), n))])
+        basis[k - 1] = q
+        w = a @ q
+        alpha.append(float(q @ w))
+        done = basis[:k]
+        for _ in range(2):
+            w -= (done @ w) @ done
+        b = math.sqrt(w @ w)
+        if k % 32 == 0 or k == n or b <= small:
+            x = jacobi_eigh(alpha, beta)[1] @ done
+            x = _fix_sign(x / math.sqrt(x @ x))
+            y = a @ x
+            lam = float(x @ y)
+            r = y - lam * x
+            residual = math.sqrt(r @ r)
+            if residual < tol:
+                return EigenPair(lam, x, residual, k, "ritz")
+            if b == 0.0:
+                break
+        beta.append(b)
+        q = w / b
+    raise SpectralError(
+        f"eigensolver failed: power iteration stalled and the Lanczos residual "
+        f"{residual:.3e} exceeds tol {tol:.1e} after {k} steps"
+    )
 
 
 def dominant_eigenpair(m, tol=DEFAULT_TOL):
     """Largest eigenvalue and unit eigenvector of a symmetric matrix.
 
-    Power iteration first (cap 100*n steps). On a stall, Rayleigh-Ritz on
-    repeated squares (simultaneous iteration, Rutishauser 1970) finishes:
-    B = (m + 2cI)/(3c), with c the largest absolute row sum, has eigenvalues
-    in [1/3, 1], in the order of m's, so no power of it vanishes. Each round
-    orthonormalises B @ S, for a fixed start block S of RITZ_BLOCK columns,
-    through jacobi_eigh of its Gram matrix, dropping directions whose Gram
-    eigenvalue is at or below 1e-12 of the largest, and solves the
-    projection of m onto it with jacobi_eigh. The top Ritz pair is returned,
-    as method "ritz" with the rounds taken as its iterations, once its
-    residual is below tol; otherwise B <- B @ B, rescaled by its largest
-    entry. A residual below tol certifies an eigenpair, and it is the largest
-    one when S meets its eigenvector: S's all-ones column meets the dominant
-    eigenvector of every nonnegative matrix, reducible or not. Exceeding
-    RITZ_ROUNDS rounds is a hard error, never a silent approximation. For
-    nonnegative irreducible input the vector is the Perron vector,
-    normalized with positive sign. tol must be positive and finite.
+    Power iteration first, for at most POWER_STEPS steps; where it stalls or
+    its iterate falls into the kernel of m + cI, Lanczos finishes from a
+    fixed positive start vector, which meets the dominant eigenvector of every
+    nonnegative matrix, reducible or not. A residual below tol certifies an
+    eigenpair; one that cannot be met is a hard error, never a silent
+    approximation. For nonnegative irreducible input the vector is the Perron
+    vector, normalized with positive sign. tol must be positive and finite.
     """
     _check_tol(tol)
     a = _check_symmetric(m)
     pair = power_iteration(a, tol=tol)
-    if pair is not None:
-        return pair
-    n = a.shape[0]
-    c = float(np.abs(a).sum(axis=1).max())
-    b = (a + 2.0 * c * np.eye(n)) / (3.0 * c)
-    weyl = np.arange(1.0, n + 1.0)[:, None] * np.arange(1.0, RITZ_BLOCK) * GOLDEN
-    start = np.hstack([np.ones((n, 1)), weyl - np.floor(weyl) - 0.5])
-    for rounds in range(1, RITZ_ROUNDS + 1):
-        basis = b @ start
-        # a second pass restores orthonormality lost to near-parallel
-        # columns; with one, I_r + (1+d)J_k/k (r <= 30, k <= 200,
-        # 1e-9 <= d <= 1e-4) returned 1 in place of 1 + d for 13 of 80 choices
-        for _ in range(2):
-            gram = basis.T @ basis
-            g, w = jacobi_eigh((gram + gram.T) / 2.0)
-            keep = g > 1e-12 * g.max()
-            basis = basis @ (w[:, keep] / np.sqrt(g[keep]))
-        h = basis.T @ (a @ basis)
-        values, vectors = jacobi_eigh((h + h.T) / 2.0)
-        x = basis @ vectors[:, int(np.argmax(values))]
-        x = _fix_sign(x / math.sqrt(x @ x))
-        y = a @ x
-        lam = float(x @ y)
-        r = y - lam * x
-        residual = math.sqrt(r @ r)
-        if residual < tol:
-            return EigenPair(lam, x, residual, rounds, "ritz")
-        b = b @ b
-        b /= np.abs(b).max()
-    raise SpectralError(
-        f"eigensolver failed: power iteration stalled and the Ritz residual "
-        f"{residual:.3e} exceeds tol {tol:.1e} after {RITZ_ROUNDS} rounds"
-    )
+    return pair if pair is not None else _lanczos(a, tol)
 
 
 def _matrix_stack(graphs, kind):
@@ -340,7 +333,7 @@ def _power_stack(a, tol):
     than tol.
     Returns one EigenPair per row, or None for a row that leaves the batch:
     an iterate in the kernel of m + cI, which a zero matrix's first iterate
-    is, or a row at the 100*n cap.
+    is, or a row still unconverged after POWER_STEPS steps.
     """
     count, n, _ = a.shape
     out = [None] * count
@@ -349,7 +342,7 @@ def _power_stack(a, tol):
     floor = 1e-12 * (c + 1.0)
     x = np.full((count, n, 1), 1 / math.sqrt(n))
     lam_prev = None
-    for k in range(100 * n):
+    for k in range(POWER_STEPS):
         if not len(rows):
             break
         y = a @ x
@@ -383,10 +376,12 @@ def spectral_radii(graphs, kind, tol=DEFAULT_TOL):
     complement_distance. Distance kinds require the relevant graph (g or its
     complement) to be connected. Graphs of one order are solved together in
     stacks by the batched power iteration, and every pair has the bits
-    dominant_eigenpair gives that graph's matrix alone: a stack of one
-    matrix, and every row that leaves a batch (zero matrix, kernel iterate
-    or iteration cap), is solved by dominant_eigenpair itself, and the first
-    graph of each stack is solved alone too, as a check on the stack.
+    dominant_eigenpair gives that graph's matrix alone. A stack of one matrix
+    is solved by dominant_eigenpair itself; a row that leaves a batch through
+    the kernel floor or at POWER_STEPS goes straight to the Lanczos finish,
+    which never reads the power iterate, and a zero matrix gets
+    dominant_eigenpair's zero pair. The first graph of each stack is solved
+    alone too, as a check on the stack.
     """
     if kind not in SPECTRAL_KINDS:
         raise GraphError(f"unknown spectral kind {kind!r}; expected one of {SPECTRAL_KINDS}")
@@ -401,8 +396,9 @@ def spectral_radii(graphs, kind, tol=DEFAULT_TOL):
         for start in range(0, len(members), size):
             chunk = members[start : start + size]
             mats = _matrix_stack([graphs[i] for i in chunk], kind)
-            solved = [None] * len(chunk)
-            if len(chunk) > 1:
+            if len(chunk) == 1:
+                solved = [dominant_eigenpair(mats[0], tol=tol)]
+            else:
                 solved = _power_stack(mats, tol)
                 # The stack's first graph is solved alone as well: if its pair
                 # differs in any bit, this numpy does not reduce the stacked
@@ -410,10 +406,12 @@ def spectral_radii(graphs, kind, tol=DEFAULT_TOL):
                 # solved alone instead.
                 alone = spectral_radius(graphs[chunk[0]], kind, tol=tol)
                 if solved[0] is not None and not _same_bits(solved[0], alone):
-                    solved = [None] * len(chunk)
+                    solved = [dominant_eigenpair(mat, tol=tol) for mat in mats]
                 solved[0] = alone
             for i, mat, pair in zip(chunk, mats, solved):
-                pairs[i] = pair if pair is not None else dominant_eigenpair(mat, tol=tol)
+                if pair is None:
+                    pair = _lanczos(mat, tol) if mat.any() else dominant_eigenpair(mat, tol=tol)
+                pairs[i] = pair
     return pairs
 
 

@@ -140,6 +140,27 @@ class TestSpectrum:
         assert len(entries) == 120
         assert max(abs(x - y / norm) for x, y in zip(entries, sines)) <= 1e-9
 
+    def test_long_path_is_finished_by_lanczos(self, capsys, monkeypatch):
+        _, text, _ = run_cli(capsys, ["gen", "path:480"])
+        code, out, _ = run_cli(
+            capsys, ["spectrum", "--verbose"], stdin_text=text, monkeypatch=monkeypatch
+        )
+        assert code == 0
+        value, _, solver = out.splitlines()
+        assert solver.split()[:2] == ["method", "ritz"]
+        assert abs(float(value) - 2 * math.cos(math.pi / 481)) <= 1e-11
+
+    def test_unreachable_tolerance_is_a_one_line_error(self, capsys, monkeypatch):
+        code, out, err = run_cli(
+            capsys,
+            ["spectrum", "--tol", "1e-300"],
+            stdin_text=format_edge_list(path_graph(5)),
+            monkeypatch=monkeypatch,
+        )
+        assert (code, out) == (1, "")
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+        assert "Traceback" not in err
+
     def test_cdistance_of_small_diameter_exits_1(self, capsys, monkeypatch):
         code, _, err = run_cli(
             capsys,

@@ -1,13 +1,12 @@
 """Eigensolvers and matrix builders, checked against numpy.linalg.eigh.
 
 numpy's eigh appears only as a test oracle. The library's two routes (shifted
-power iteration, and Rayleigh-Ritz on repeated squares where it stalls) are
-exercised through dominant_eigenpair, and its eigensolvers directly; the
-round-robin (parallel-order) Jacobi is held to a row-cyclic Jacobi reference,
-and the batched spectral_radii to the bits of the one-matrix solver.
+power iteration, and Lanczos where it stalls) are exercised through
+dominant_eigenpair, power iteration and the Lanczos finish's tridiagonal
+solver jacobi_eigh directly, and the batched spectral_radii is held to the
+bits of the one-matrix solver.
 """
 
-import hashlib
 import math
 import random
 import warnings
@@ -31,6 +30,7 @@ from blockspectra import (
     enumerate_connected_graphs,
     from_edge_list,
     jacobi_eigh,
+    parse_family_spec,
     path_graph,
     power_iteration,
     random_clique_tree,
@@ -49,52 +49,6 @@ def random_connected(rng, n):
         reach = np.linalg.matrix_power(np.eye(n) + a, n)
         if (reach > 0).all():
             return g
-
-
-def copy_assign_jacobi(m):
-    """Row-cyclic Jacobi, one (p, q) pair at a time, with the stopping rule
-    and 30-sweep cap of jacobi_eigh; the reference its round-robin order is
-    held to."""
-    a = np.asarray(m, dtype=float).copy()
-    n = a.shape[0]
-    v = np.eye(n)
-    if n == 1:
-        return a.diagonal().copy(), v
-    scale = max(1.0, float(np.abs(a).max()))
-    stop = 1e-14 * scale * n
-    skip = stop / (2 * n)
-    iu = np.triu_indices(n, 1)
-    for _ in range(30):
-        off = math.sqrt(2.0 * float((a[iu] ** 2).sum()))
-        if off <= stop:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if abs(apq) <= skip:
-                    continue
-                tau = (a[q, q] - a[p, p]) / (2.0 * apq)
-                if tau >= 0:
-                    t = 1.0 / (tau + math.sqrt(1.0 + tau * tau))
-                else:
-                    t = -1.0 / (-tau + math.sqrt(1.0 + tau * tau))
-                cth = 1.0 / math.sqrt(1.0 + t * t)
-                sth = t * cth
-                col_p = a[:, p].copy()
-                col_q = a[:, q].copy()
-                a[:, p] = cth * col_p - sth * col_q
-                a[:, q] = sth * col_p + cth * col_q
-                row_p = a[p, :].copy()
-                row_q = a[q, :].copy()
-                a[p, :] = cth * row_p - sth * row_q
-                a[q, :] = sth * row_p + cth * row_q
-                a[p, q] = 0.0
-                a[q, p] = 0.0
-                vec_p = v[:, p].copy()
-                vec_q = v[:, q].copy()
-                v[:, p] = cth * vec_p - sth * vec_q
-                v[:, q] = sth * vec_p + cth * vec_q
-    return np.diagonal(a).copy(), v
 
 
 def star_graph(n):
@@ -192,8 +146,8 @@ class TestDominantEigenpair:
 
 def jacobi_matrices():
     """Zero matrices, small integer and Gaussian symmetric matrices, P_120 and
-    P_121 (on which power iteration stalls), and Gaussian matrices of
-    order 2 and of odd orders, whose round-robin schedule has a dummy index."""
+    P_121 (on which power iteration stalls), and Gaussian matrices of orders
+    2, 3, 5, 9 and 33."""
     rng = np.random.default_rng(21)
     mats = [np.zeros((n, n)) for n in range(1, 6)]
     for _ in range(40):
@@ -212,13 +166,11 @@ def jacobi_matrices():
     return mats
 
 
-# SHA-256 of the values and vectors jacobi_eigh returns for jacobi_matrices()
-JACOBI_DIGEST = "2ae2991a810ef7970fe7a5ba45e9cec95ef60a2297dec7000a944823535bbdba"
-
-
-@pytest.fixture(scope="module")
-def jacobi_runs():
-    return [(m, *jacobi_eigh(m)) for m in jacobi_matrices()]
+def tridiagonal(alpha, beta):
+    t = np.diag(np.asarray(alpha, dtype=float))
+    if len(beta):
+        t += np.diag(beta, 1) + np.diag(beta, -1)
+    return t
 
 
 class TestSolverRoutes:
@@ -229,47 +181,42 @@ class TestSolverRoutes:
             a = adjacency_matrix(g)
             p = power_iteration(a)
             assert p is not None
-            vals, _ = jacobi_eigh(a)
-            assert abs(p.value - float(np.max(vals))) <= 10 * DEFAULT_TOL
+            assert abs(p.value - float(np.linalg.eigvalsh(a)[-1])) <= 10 * DEFAULT_TOL
 
-    def test_jacobi_full_spectrum_and_vectors(self):
-        rng = np.random.default_rng(9)
-        for _ in range(60):
-            n = int(rng.integers(1, 13))
-            a = rng.standard_normal((n, n))
-            a = a + a.T
-            vals, vecs = jacobi_eigh(a)
-            assert np.allclose(np.sort(vals), np.linalg.eigvalsh(a), atol=1e-10)
-            assert np.max(np.abs(a @ vecs - vecs * vals)) < 1e-10
+    def test_jacobi_matrix_top_pair_agrees_with_eigvalsh(self):
+        # random T of every order 1..60; Wilkinson's W21+, whose top two
+        # eigenvalues agree to about 1e-14; a negative-definite T; and a T
+        # with one zero off-diagonal entry (a direct sum of two blocks)
+        rng = np.random.default_rng(26)
+        cases = [
+            (rng.standard_normal(k).tolist(), rng.standard_normal(k - 1).tolist())
+            for k in range(1, 61)
+        ]
+        w21 = ([abs(10.0 - i) for i in range(21)], [1.0] * 20)
+        assert np.diff(np.linalg.eigvalsh(tridiagonal(*w21))[-2:])[0] < 1e-13
+        cases.append(w21)
+        cases.append(((-5.0 - rng.random(20)).tolist(), (0.5 * rng.standard_normal(19)).tolist()))
+        beta = rng.standard_normal(11).tolist()
+        beta[5] = 0.0
+        cases.append((rng.standard_normal(12).tolist(), beta))
+        for alpha, beta in cases:
+            t = tridiagonal(alpha, beta)
+            scale = max(1.0, float(np.abs(t).max()))
+            value, vector = jacobi_eigh(alpha, beta)
+            assert abs(value - np.linalg.eigvalsh(t)[-1]) <= 1e-12 * scale
+            assert abs(float(vector @ vector) - 1.0) < 1e-12
+            assert np.abs(t @ vector - value * vector).max() <= 1e-12 * scale
 
-    def test_jacobi_agrees_with_the_cyclic_reference_and_eigh(self, jacobi_runs):
-        for m, vals, vecs in jacobi_runs:
-            n = m.shape[0]
-            scale = max(1.0, float(np.abs(m).max()))
-            ref_vals, _ = copy_assign_jacobi(m)
-            assert np.abs(np.sort(vals) - np.sort(ref_vals)).max() <= 1e-12 * scale * n
-            assert np.abs(np.sort(vals) - np.linalg.eigvalsh(m)).max() <= 1e-12 * scale * n
-            assert np.abs(m @ vecs - vecs * vals).max() < 1e-10 * scale
-            assert np.abs(vecs.T @ vecs - np.eye(n)).max() < 1e-12 * n
-
-    def test_jacobi_bits_are_pinned(self, jacobi_runs):
-        digest = hashlib.sha256()
-        for _, vals, vecs in jacobi_runs:
-            digest.update(vals.tobytes())
-            digest.update(vecs.tobytes())
-        assert digest.hexdigest() == JACOBI_DIGEST
-
-    def test_jacobi_raises_no_warnings(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            for m in jacobi_matrices():
-                jacobi_eigh(m)
-
-    def test_sweeps_that_rotate_nothing_raise_after_30(self, monkeypatch):
-        # with no rounds a sweep leaves the off-diagonal mass where it was
-        monkeypatch.setattr(spectral, "_round_robin", lambda n: [])
-        with pytest.raises(SpectralError, match="jacobi failed to converge in 30 sweeps"):
-            jacobi_eigh([[0, 1], [1, 0]])
+    def test_clique_paths_agree_with_eigvalsh_on_either_route(self):
+        # power iteration would need 9782 steps on 40 blocks of 8 and 3007 on
+        # 8 blocks of 40, past POWER_STEPS
+        for sizes in (["8"] * 40, ["40"] * 8):
+            spec = "cliquepath:" + ",".join(sizes)
+            a = adjacency_matrix(parse_family_spec(spec))
+            ref = float(np.linalg.eigvalsh(a)[-1])
+            pair = dominant_eigenpair(a)
+            assert abs(pair.value - ref) <= 1e-12 * ref, (spec, pair.method)
+            assert pair.residual < DEFAULT_TOL
 
     def test_kernel_iterate_falls_to_ritz(self):
         # the all-ones start vector is annihilated by m + cI here
@@ -301,13 +248,13 @@ class TestSolverRoutes:
                 scale = max(1.0, float(np.abs(m).max()))
                 pair = dominant_eigenpair(m)
                 assert pair.method == "ritz"
-                assert 1 <= pair.iterations <= spectral.RITZ_ROUNDS
+                assert 1 <= pair.iterations <= n
                 assert abs(pair.value - np.linalg.eigvalsh(m)[-1]) <= 1e-12 * scale * n
                 assert pair.residual < DEFAULT_TOL
                 assert abs(float(pair.vector @ pair.vector) - 1.0) < 1e-12
 
     def test_ritz_rounds_are_capped(self):
-        message = r"Ritz residual \S+ exceeds tol 1.0e-300 after 64 rounds"
+        message = r"Lanczos residual \S+ exceeds tol 1.0e-300 after 5 steps"
         with pytest.raises(SpectralError, match=message):
             dominant_eigenpair(adjacency_matrix(path_graph(5)), tol=1e-300)
 
@@ -515,6 +462,15 @@ class TestSpectralRadii:
         assert ref.method == "ritz"
         assert same_bits(path, ref)
         assert same_bits(tree, dominant_eigenpair(adjacency_matrix(broom(120))))
+
+    def test_stalled_rows_past_the_first_keep_their_bits(self):
+        # the first row is solved alone anyway; these leave the stack at
+        # POWER_STEPS and go straight to the Lanczos finish
+        for n in (120, 121):
+            ref = dominant_eigenpair(adjacency_matrix(path_graph(n)))
+            batch = spectral_radii([broom(n), path_graph(n), broom(n), path_graph(n)], "adjacency")
+            assert [p.method for p in batch] == ["power", "ritz", "power", "ritz"]
+            assert same_bits(batch[1], ref) and same_bits(batch[3], ref)
 
     def test_agreement_with_eigh_500_random_graphs(self):
         rng = random.Random(13)
