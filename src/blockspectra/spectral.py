@@ -229,13 +229,14 @@ def _lanczos(a, tol):
     From _start(n), each step appends the next unit vector to a k x n basis,
     grown by doubling, and orthogonalises a @ q against the whole basis in two
     classical Gram-Schmidt passes. Every 32 steps, at a next vector shorter
-    than 1e-12 of the largest absolute row sum, and at k = n, jacobi_eigh of
+    than 1e-12 n times the largest absolute entry, and at k = n, jacobi_eigh of
     T_k gives x = Q^T s, returned as method "ritz" with k as its iterations
     once the true residual ||ax - lambda x|| is below tol. A residual at or
     above tol at k = n, or at a next vector of length zero, is a hard error.
     """
     n = a.shape[0]
-    small = 1e-12 * float(np.abs(a).sum(axis=1).max())
+    # n max|a_ij| >= ||a||, with no n x n temporary (which raised peak RSS)
+    small = 1e-12 * n * max(float(a.max()), -float(a.min()))
     basis = np.empty((min(n, 32), n))
     alpha, beta = [], []
     q = _start(n)
