@@ -226,39 +226,41 @@ def _lanczos(a, tol):
     """Top eigenpair of a nonzero symmetric float matrix by Lanczos with full
     reorthogonalisation (Lanczos 1950; Golub & Van Loan, 4th ed., §10.1).
 
-    From _start(n), each step appends the next unit vector to a k x n basis,
-    grown by doubling, and orthogonalises a @ q against the whole basis in two
-    classical Gram-Schmidt passes. Every 32 steps, at a next vector shorter
-    than 1e-12 n times the largest absolute entry, and at k = n, jacobi_eigh of
-    T_k gives x = Q^T s, returned as method "ritz" with k as its iterations
-    once the true residual ||ax - lambda x|| is below tol. A residual at or
-    above tol at k = n, or at a next vector of length zero, is a hard error.
+    The recurrence runs on a / s, s the largest power of two not above the
+    largest absolute entry (so s is finite for every finite a): exact in the
+    normal range, and a matrix near the subnormal range does not underflow. From _start(n), step k writes the
+    next unit vector q into row k - 1 of an n x n basis allocated once (a
+    row is touched only when written) and orthogonalises a @ q / s against
+    rows 0..k-1 in two classical Gram-Schmidt passes. Every 32 steps, at a
+    next vector shorter than 1e-12 n, and at k = n, jacobi_eigh of T_k gives
+    the Ritz vector x, returned as method "ritz" with k as its iterations
+    once the true residual ||ax - lambda x||, like lambda scaled back by s,
+    is below tol. A residual at or above tol at k = n, or at a next vector
+    of length zero, is a hard error.
     """
     n = a.shape[0]
-    # n max|a_ij| >= ||a||, with no n x n temporary (which raised peak RSS)
-    small = 1e-12 * n * max(float(a.max()), -float(a.min()))
-    basis = np.empty((min(n, 32), n))
+    # no n x n temporary for the largest entry (which raised peak RSS)
+    s = 2.0 ** (math.frexp(max(float(a.max()), -float(a.min())))[1] - 1)
+    basis = np.empty((n, n))
     alpha, beta = [], []
     q = _start(n)
     for k in range(1, n + 1):
-        if k > len(basis):
-            basis = np.concatenate([basis, np.empty((min(len(basis), n - len(basis)), n))])
         basis[k - 1] = q
-        w = a @ q
+        w = a @ q / s
         alpha.append(float(q @ w))
         done = basis[:k]
         for _ in range(2):
             w -= (done @ w) @ done
         b = math.sqrt(w @ w)
-        if k % 32 == 0 or k == n or b <= small:
+        if k % 32 == 0 or k == n or b <= 1e-12 * n:
             x = jacobi_eigh(alpha, beta)[1] @ done
             x = _fix_sign(x / math.sqrt(x @ x))
-            y = a @ x
+            y = a @ x / s
             lam = float(x @ y)
             r = y - lam * x
-            residual = math.sqrt(r @ r)
+            residual = math.sqrt(r @ r) * s
             if residual < tol:
-                return EigenPair(lam, x, residual, k, "ritz")
+                return EigenPair(lam * s, x, residual, k, "ritz")
             if b == 0.0:
                 break
         beta.append(b)

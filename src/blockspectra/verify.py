@@ -16,7 +16,6 @@ CLI, reports, and tests.
 
 from __future__ import annotations
 
-import inspect
 import itertools
 import json
 import os
@@ -155,21 +154,24 @@ def _comparators(shape, sizes):
     return tuple(clique_star(e, b, l) for e, b, l in sorted(splits))
 
 
-# Per-instance steps take (instance, params) and return None for an instance
-# outside the hypothesis, else the record their claim's reduction reads. A
-# step that compares radii is a generator: it yields a tuple of graphs, is
-# sent back one EigenPair of its claim's spectral kind per graph, and returns
-# its record (see _run_rounds). All radius comparisons are _versus steps; a
-# comparison claim's hypothesis sides(g) gives None for an excluded g, else
-# the (side, comparator graphs) pairs. It is a plain function, so none of its
-# locals wait with the step.
+# Per-instance steps take (instance, params) and are generators: each yields
+# tuples of graphs, is sent back one EigenPair of its claim's spectral kind
+# per graph, and returns None for an instance outside the hypothesis, else
+# the record its claim's reduction reads (see _run_rounds). All radius
+# comparisons are _versus steps; a comparison claim's hypothesis sides(g)
+# gives None for an excluded g, else the (side, comparator graphs) pairs.
+# _compare calls sides(g) before making the step, so none of its locals wait
+# with the step.
 
 
 def _versus(g, sides):
     """Compare g's radius with each (side, comparator graphs) pair: a "lower"
     side claims it is at least the least comparator radius, any other side at
     most the greatest; slack >= 0 means the claim holds. On a tie within EPS,
-    tie_ok says whether g is a comparator up to isomorphism, else it is None."""
+    tie_ok says whether g is a comparator up to isomorphism, else it is None.
+    With sides None (g excluded) it returns None at its first send."""
+    if sides is None:
+        return None
     pairs = yield (g, *(h for _, others in sides for h in others))
     radii = iter([pair.value for pair in pairs])
     lam = next(radii)
@@ -185,8 +187,7 @@ def _versus(g, sides):
 
 
 def _compare(g, p, sides):
-    pairs = sides(g)
-    return None if pairs is None else _versus(g, pairs)
+    return _versus(g, sides(g))
 
 
 def _block_bound(side, g):
@@ -241,6 +242,7 @@ def _identity(g, p):
     The record is g's report row: its strict-pair count against 0, and if an
     entry fails, the first such entry as the violation.
     """
+    yield from ()  # a step like every other, but it asks for no radii
     d = diameter(g)
     if d < 3:
         return None
@@ -527,38 +529,30 @@ PARAMS = tuple(dict.fromkeys(_name(key) for claim in CLAIMS.values() for key in 
 def _run_rounds(tid, p, items):
     """Run the claim's step on each item, all steps in lockstep rounds.
 
-    Each round gathers the distinct graphs that the open steps ask for and
-    not yet in this run's table, keyed by the Graph itself, solves them with
-    one spectral_radii call of the claim's kind, and sends every step its
-    pairs. A step that needs no radii is a plain function. Returns the
-    steps' records in item order. Batching never changes a pair's bits, so
-    neither does the grouping of items into runs.
+    The first round makes and starts each step in turn. After each round,
+    the distinct graphs the open steps ask for and not yet in this run's
+    table, keyed by the Graph itself, are solved in one spectral_radii call
+    of the claim's kind; the next round sends each step its pairs, built as
+    it is sent. Returns the steps' records in item order. Batching never
+    changes a pair's bits, so neither does the grouping of items into runs.
     """
     # pool workers get the claim id, never a record's callables, which need not pickle
     claim = CLAIMS[tid]
     records = [None] * len(items)
     table = {}
-    waiting = []  # (item index, step generator, its request)
-
-    def advance(i, gen, reply):
-        try:
-            waiting.append((i, gen, gen.send(reply)))
-        except StopIteration as stop:
-            records[i] = stop.value
-
-    for i, item in enumerate(items):
-        out = claim.instance(item, p)
-        if inspect.isgenerator(out):
-            advance(i, out, None)
-        else:
-            records[i] = out
+    # (item index, step, its request); the first round's steps are made lazily
+    waiting = ((i, claim.instance(item, p), None) for i, item in enumerate(items))
     while waiting:
+        current, waiting = waiting, []
+        for i, step, graphs in current:
+            reply = None if graphs is None else [table[g] for g in graphs]
+            try:
+                waiting.append((i, step, step.send(reply)))
+            except StopIteration as stop:
+                records[i] = stop.value
         fresh = dict.fromkeys(g for _, _, graphs in waiting for g in graphs if g not in table)
         if fresh:
             table.update(zip(fresh, spectral_radii(fresh, claim.kind)))
-        current, waiting = waiting, []
-        for i, gen, graphs in current:
-            advance(i, gen, [table[g] for g in graphs])
     return records
 
 

@@ -24,6 +24,7 @@ from blockspectra import (
     complement,
     complement_distance_matrix,
     complete_graph,
+    diameter,
     distance_matrix,
     dominant_eigenpair,
     enumerate_clique_trees,
@@ -145,9 +146,10 @@ class TestDominantEigenpair:
 
 
 def jacobi_matrices():
-    """Zero matrices, small integer and Gaussian symmetric matrices, P_120 and
-    P_121 (on which power iteration stalls), and Gaussian matrices of orders
-    2, 3, 5, 9 and 33."""
+    """Inputs for the Lanczos finish, reached through dominant_eigenpair with
+    power iteration switched off: zero matrices, small integer and Gaussian
+    symmetric matrices, P_120 and P_121 (on which power iteration stalls
+    anyway), and Gaussian matrices of orders 2, 3, 5, 9 and 33."""
     rng = np.random.default_rng(21)
     mats = [np.zeros((n, n)) for n in range(1, 6)]
     for _ in range(40):
@@ -174,7 +176,7 @@ def tridiagonal(alpha, beta):
 
 
 class TestSolverRoutes:
-    def test_power_vs_jacobi_agreement(self):
+    def test_power_iteration_agrees_with_eigvalsh(self):
         rng = random.Random(4)
         for _ in range(500):
             g = random_connected(rng, rng.randint(2, 12))
@@ -253,10 +255,20 @@ class TestSolverRoutes:
                 assert pair.residual < DEFAULT_TOL
                 assert abs(float(pair.vector @ pair.vector) - 1.0) < 1e-12
 
-    def test_ritz_rounds_are_capped(self):
+    def test_lanczos_residual_above_tol_at_step_n_is_a_hard_error(self):
         message = r"Lanczos residual \S+ exceeds tol 1.0e-300 after 5 steps"
         with pytest.raises(SpectralError, match=message):
             dominant_eigenpair(adjacency_matrix(path_graph(5)), tol=1e-300)
+
+    def test_lanczos_on_a_matrix_near_the_subnormal_range(self):
+        # power iteration's kernel floor is absolute, so this reaches Lanczos
+        # at step 0; unscaled, its products underflowed and it certified
+        # 1.928e-300 with residual 0 after one step
+        tol = 1e-310
+        pair = dominant_eigenpair(1e-300 * adjacency_matrix(path_graph(120)), tol=tol)
+        assert pair.method == "ritz"
+        assert abs(pair.value / (2 * math.cos(math.pi / 121) * 1e-300) - 1) <= 1e-12
+        assert pair.residual < tol
 
 
 class TestRayleigh:
@@ -347,6 +359,17 @@ class TestComplementDistance:
         batched = spectral_radius(c5, "complement_distance")
         assert batched.value == pytest.approx(6.0, abs=1e-9)
         assert same_bits(batched, dominant_eigenpair(dc))
+
+    def test_identity_route_keeps_the_bfs_bits(self):
+        # spectral_radii builds D(G^c) as J - I + A(G) for diameter > 3; the
+        # public builder runs BFS on the complement
+        graphs = [
+            g for n in range(4, 8) for g in enumerate_connected_graphs(n) if diameter(g) > 3
+        ]
+        assert len(graphs) == 102
+        batch = spectral_radii(graphs, "complement_distance")
+        for g, pair in zip(graphs, batch):
+            assert same_bits(pair, dominant_eigenpair(complement_distance_matrix(g))), g
 
     def test_disconnected_complement_is_named(self):
         with pytest.raises(GraphError, match="complement .* disconnected"):
@@ -456,7 +479,7 @@ class TestSpectralRadii:
         assert same_bits(again, zero) and other.value > 0
 
     def test_straggler_gets_the_one_matrix_result(self):
-        # power iteration reaches its 100*n cap on P_120 and falls back to Ritz
+        # power iteration reaches POWER_STEPS on P_120 and Lanczos finishes it
         path, tree = spectral_radii([path_graph(120), broom(120)], "adjacency")
         ref = dominant_eigenpair(adjacency_matrix(path_graph(120)))
         assert ref.method == "ritz"

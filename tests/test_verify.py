@@ -7,6 +7,7 @@ than pass.
 
 import collections
 import concurrent.futures
+import inspect
 import itertools
 import json
 import random
@@ -133,6 +134,31 @@ class TestDispatch:
         report = run_check("T2.4", n=6, jobs=100000)
         assert sizes == [3]
         assert report.to_csv() == run_check("T2.4", n=6).to_csv()
+
+
+class TestSteps:
+    """Every step is a generator that _run_rounds drives by send."""
+
+    @pytest.mark.parametrize("tid", sorted(CLAIMS))
+    def test_every_step_is_a_generator(self, tid):
+        claim = CLAIMS[tid]
+        p = {key: default for key, (default, _) in claim.params.items()}
+        items = claim.family(p)[:3]
+        assert items, tid
+        for item in items:
+            assert inspect.isgenerator(claim.instance(item, p)), (tid, item)
+
+    def test_identity_asks_for_no_radii(self, monkeypatch):
+        calls = []
+
+        def radii(graphs, kind):
+            calls.append(kind)
+            return spectral_radii(graphs, kind)
+
+        monkeypatch.setattr(verify, "spectral_radii", radii)
+        report = run_check("L4.1", n=6)
+        assert report.checked > 0 and report.passed
+        assert calls == []
 
 
 class TestVacuity:
