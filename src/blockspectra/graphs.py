@@ -2,7 +2,8 @@
 
 Vertices are always labeled 0..n-1. Adjacency is one Python int bitmask per
 vertex, which keeps complement, the one single-source BFS (_bfs_row) and
-block routines exact and cheap for n up to a few hundred. canonical_form
+block routines exact and cheap for n up to a few hundred; distances and
+diameters run that BFS once per twin class (_twins). canonical_form
 alone decides isomorphism: equal forms iff isomorphic. _canonical_forms runs
 its one search for any list of graphs, a graph alone being a list of one:
 each graph's search is a generator that asks for one partition per node,
@@ -139,16 +140,38 @@ def _bfs_row(rows, s):
 def bfs_distances(g):
     """All-pairs shortest-path matrix; unreachable pairs get np.inf.
 
-    Each BFS fills a Python row as it expands a level, and the rows become
-    one array at the end; numpy assignments per entry, or per level, were
-    slower at every order measured, 7 to 300.
+    BFS runs only from the least vertex t of each twin class, exact for
+    every graph, disconnected ones included: swapping a twin s with t is an
+    automorphism, so rows s and t agree off the class, and within it every
+    two vertices lie the same distance apart (1 for closed twins, 2 or inf
+    for open ones). With that distance written at t, row t serves its whole
+    class, and the diagonal is zeroed once. Each BFS fills a Python row as
+    it expands a level, and numpy gathers the rows in one take; numpy
+    assignments per entry, or per level, were slower at every order
+    measured, 7 to 300. Copying each twin's row as a Python list instead
+    saved about 1 us a call on the connected graphs of order 7 or less, but
+    took 3.3 ms against 0.3 ms on broom:300.
     """
-    return np.array([_bfs_row(g.rows, s) for s in range(g.n)], dtype=np.float64)
+    rows = g.rows
+    reps, at = [], []
+    for s, t in enumerate(_twins(rows)):
+        if s == t:
+            at.append(len(reps))
+            reps.append(_bfs_row(rows, s))
+        else:
+            at.append(at[t])
+            row = reps[at[t]]
+            row[t] = row[s]  # the class's distance, so row t serves s too
+    d = np.array(reps, dtype=np.float64).take(at, axis=0)
+    d.flat[:: g.n + 1] = 0
+    return d
 
 
 def diameter(g):
-    """Largest distance, from one BFS row at a time: math.inf if disconnected."""
-    return max(max(_bfs_row(g.rows, s)) for s in range(g.n))
+    """Largest distance, math.inf if disconnected, from one BFS row per twin
+    class: a twin's row is a permutation of its least twin's row."""
+    rows = g.rows
+    return max(max(_bfs_row(rows, s)) for s, t in enumerate(_twins(rows)) if s == t)
 
 
 @dataclass(frozen=True)

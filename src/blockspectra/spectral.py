@@ -129,8 +129,9 @@ def power_iteration(m, tol=DEFAULT_TOL):
     quotients agree. Returns None if an iterate falls into the kernel of
     m + cI or POWER_STEPS steps pass (dominant_eigenpair then finishes by
     Lanczos). The kernel is never reached for a nonnegative m, such as the
-    four graph matrices: (m + cI)x > 0 for every x > 0. Norms
-    are math.sqrt(v @ v), the dot product np.linalg.norm takes of a 1-D array.
+    four graph matrices: (m + cI)x > 0 for every x > 0. A shift c beyond
+    the float range is a hard error. Norms are math.sqrt(v @ v), the dot
+    product np.linalg.norm takes of a 1-D array.
     """
     a = _check_symmetric(m)
     n = a.shape[0]
@@ -138,6 +139,8 @@ def power_iteration(m, tol=DEFAULT_TOL):
     if not a.any():
         return EigenPair(0.0, x, 0.0, 0, "power")
     c = float(np.abs(a).sum(axis=1).max())
+    if not math.isfinite(c):
+        raise SpectralError(f"eigensolver failed: shift c = {c} is not finite")
     lam_prev = None
     for k in range(POWER_STEPS):
         y = a @ x
@@ -235,8 +238,8 @@ def _lanczos(a, tol):
     next vector shorter than 1e-12 n, and at k = n, jacobi_eigh of T_k gives
     the Ritz vector x, returned as method "ritz" with k as its iterations
     once the true residual ||ax - lambda x||, like lambda scaled back by s,
-    is below tol. A residual at or above tol at k = n, or at a next vector
-    of length zero, is a hard error.
+    is below tol. A value beyond the float range, and a residual at or above
+    tol at k = n or at a next vector of length zero, are hard errors.
     """
     n = a.shape[0]
     # no n x n temporary for the largest entry (which raised peak RSS)
@@ -259,6 +262,8 @@ def _lanczos(a, tol):
             lam = float(x @ y)
             r = y - lam * x
             residual = math.sqrt(r @ r) * s
+            if not math.isfinite(lam * s):
+                raise SpectralError(f"eigensolver failed: value {lam * s} after {k} steps is not finite")
             if residual < tol:
                 return EigenPair(lam * s, x, residual, k, "ritz")
             if b == 0.0:

@@ -37,6 +37,7 @@ from blockspectra import (
     format_edge_list,
     from_edge_list,
     parse_edge_list,
+    parse_family_spec,
     path_graph,
 )
 
@@ -165,6 +166,16 @@ def random_graph(rng, n, p=0.5):
 
 def cycle_graph(n):
     return from_edge_list(n, [(i, (i + 1) % n) for i in range(n)])
+
+
+# The four spectrum_large benchmark graphs, each with its number of twin
+# classes, which it shares with its complement.
+LARGE_TWIN_CLASSES = {
+    "path:120": 120,
+    "broom:300": 4,
+    "cliquepath:" + ",".join(["8"] * 40): 79,
+    "cliquestar:" + ",".join(["10"] * 28) + ";10;10": 32,
+}
 
 
 class TestConstruction:
@@ -310,6 +321,45 @@ class TestDistances:
             else:
                 assert complement_distance_matrix(g).tolist() == expected, format_edge_list(g)
         assert 0 < raised < len(cases)
+
+    def test_twin_heavy_graphs_against_plain_bfs(self):
+        """Graphs with large twin classes: clique trees and their complements,
+        the large benchmark graphs with twins scattered by relabelling, and
+        twins in other components (isolated vertices, open twins at distance
+        inf; 2K2 and 3K2, closed twins in several components)."""
+        rng = random.Random(28)
+        apart = [
+            from_edge_list(6, []),
+            from_edge_list(7, [(0, 1), (1, 2)]),
+            from_edge_list(4, [(0, 1), (2, 3)]),
+            from_edge_list(6, [(0, 1), (2, 3), (4, 5)]),
+            from_edge_list(8, [(0, 1), (0, 2), (1, 2), (3, 4)]),
+        ]
+        trees = [g for n in range(2, 11) for g in enumerate_clique_trees(n)]
+        cases = [
+            *trees,
+            *map(complement, trees),
+            *(relabelled(parse_family_spec(spec), rng) for spec in LARGE_TWIN_CLASSES),
+            *apart,
+            *(relabelled(g, rng) for g in apart),
+        ]
+        for g in cases:
+            expected = plain_bfs(g)
+            assert bfs_distances(g).tolist() == expected, format_edge_list(g)
+            assert diameter(g) == max(max(row) for row in expected)
+
+    def test_one_bfs_per_twin_class(self, monkeypatch):
+        calls = []
+        bfs_row = graphs._bfs_row
+        monkeypatch.setattr(graphs, "_bfs_row", lambda rows, s: calls.append(s) or bfs_row(rows, s))
+        rng = random.Random(28)
+        for spec, classes in LARGE_TWIN_CLASSES.items():
+            g = parse_family_spec(spec)
+            for h in (g, complement(g), relabelled(g, rng), complement(relabelled(g, rng))):
+                for distances in (bfs_distances, diameter):
+                    calls.clear()
+                    distances(h)
+                    assert len(calls) == classes, (spec, distances.__name__)
 
     def test_diameter(self):
         for n in range(2, 8):

@@ -270,6 +270,15 @@ class TestSolverRoutes:
         assert abs(pair.value / (2 * math.cos(math.pi / 121) * 1e-300) - 1) <= 1e-12
         assert pair.residual < tol
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_an_eigenvalue_beyond_the_float_range_is_a_hard_error(self):
+        # the top eigenvalue, 2cos(pi/121) * 1e308, exceeds the largest float
+        m = 1e308 * adjacency_matrix(path_graph(120))
+        with pytest.raises(SpectralError, match=r"shift c = inf is not finite"):
+            dominant_eigenpair(m, tol=1e300)
+        with pytest.raises(SpectralError, match=r"value inf after 32 steps is not finite"):
+            spectral._lanczos(m, 1e300)
+
 
 class TestRayleigh:
     def test_rayleigh_bound_1000_random_unit_vectors(self):
