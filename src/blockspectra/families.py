@@ -218,6 +218,9 @@ def _glue_remaining(tag, g):
             yield (sizes, rest), _join(g, mask, a - 1)
 
 
+# No CLI run asks for one (n, s) twice; the cache is for the test suite,
+# whose tests ask for the same clique trees again and again. Without it the
+# suite took 35.3-36.1 s against 28.5-31.6 s (3 runs each, 2 CPUs).
 @lru_cache(maxsize=None)
 def _clique_tree_classes(n, s):
     if s < 1 or n < s + 1:

@@ -6,11 +6,10 @@ the imported package first on PYTHONPATH, so it runs the same source tree as
 the test process: from a source checkout with `PYTHONPATH=src`, from any
 working directory, and with or without the package installed.
 
-Graph predicates that only tests need, read from the edge list, and a
-counter of block decompositions.
+A fixture that records the package's block decompositions. The
+from-definition references the tests compare against live in oracle.py.
 """
 
-import itertools
 import os
 import subprocess
 import sys
@@ -19,38 +18,7 @@ from typing import NamedTuple
 
 import pytest
 
-from blockspectra import GraphError, block_decomposition
-
-
-def neighbours(g):
-    """Ascending neighbour list of every vertex."""
-    adj = [[] for _ in range(g.n)]
-    for u, v in g.edges:
-        adj[u].append(v)
-        adj[v].append(u)
-    return adj
-
-
-def is_connected(g):
-    """True iff a traversal from vertex 0 over the edge list reaches every vertex."""
-    adj = neighbours(g)
-    seen, stack = {0}, [0]
-    while stack:
-        for w in adj[stack.pop()]:
-            if w not in seen:
-                seen.add(w)
-                stack.append(w)
-    return len(seen) == g.n
-
-
-def is_clique_tree(g):
-    """True iff g is connected and every block induces a complete subgraph."""
-    try:
-        blocks = block_decomposition(g).blocks
-    except GraphError:
-        return False
-    edges = set(g.edges)
-    return all(e in edges for b in blocks for e in itertools.combinations(sorted(b), 2))
+from blockspectra import block_decomposition
 
 
 @pytest.fixture

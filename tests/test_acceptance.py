@@ -11,13 +11,12 @@ Criteria 3 and 9 start the command as `python -m blockspectra` through the
 `module_launch` fixture in conftest.py, so they run the source tree under test.
 """
 
-import heapq
 import itertools
 import json
 import math
 import time
 
-from conftest import is_clique_tree
+from oracle import ahu_canon, is_clique_tree, prufer_decode
 
 from blockspectra import (
     adjacency_matrix,
@@ -194,66 +193,6 @@ def test_criterion_7_diameter_monotonicity():
         "the stated block-graph direction fails on real class maxima: "
         + "; ".join(failures)
     )
-
-
-def prufer_decode(seq, n):
-    deg = [1] * n
-    for x in seq:
-        deg[x] += 1
-    leaves = [u for u in range(n) if deg[u] == 1]
-    heapq.heapify(leaves)
-    edges = []
-    for x in seq:
-        leaf = heapq.heappop(leaves)
-        edges.append((leaf, x))
-        deg[x] -= 1
-        if deg[x] == 1:
-            heapq.heappush(leaves, x)
-    edges.append((heapq.heappop(leaves), heapq.heappop(leaves)))
-    return edges
-
-
-def ahu_canon(n, edges):
-    adj = [[] for _ in range(n)]
-    for u, v in edges:
-        adj[u].append(v)
-        adj[v].append(u)
-    if n == 1:
-        return "()"
-    deg = [len(a) for a in adj]
-    alive = [True] * n
-    remaining = n
-    layer = [u for u in range(n) if deg[u] == 1]
-    while remaining > 2:
-        nxt = []
-        for u in layer:
-            alive[u] = False
-            remaining -= 1
-            for v in adj[u]:
-                if alive[v]:
-                    deg[v] -= 1
-                    if deg[v] == 1:
-                        nxt.append(v)
-        layer = nxt
-
-    def rooted(r):
-        parent = [-1] * n
-        order = [r]
-        seen = [False] * n
-        seen[r] = True
-        for u in order:
-            for v in adj[u]:
-                if not seen[v]:
-                    seen[v] = True
-                    parent[v] = u
-                    order.append(v)
-        label = [""] * n
-        for u in reversed(order):
-            kids = sorted(label[v] for v in adj[u] if parent[v] == u)
-            label[u] = "(" + "".join(kids) + ")"
-        return label[r]
-
-    return min(rooted(r) for r in range(n) if alive[r])
 
 
 def test_criterion_8_enumeration_oracles():

@@ -17,7 +17,7 @@ import pytest
 
 from blockspectra import cli, complete_graph, format_edge_list, path_graph, spectral_radius
 from blockspectra.cli import main
-from blockspectra.families import CAPS
+from blockspectra.families import CAPS, parse_family_spec
 from blockspectra.graphs import MAX_ORDER
 from blockspectra.spectral import SPECTRAL_KINDS
 from blockspectra.verify import PARAMS
@@ -60,19 +60,13 @@ class TestGen:
         target = tmp_path / "g.txt"
         code, out, _ = run_cli(capsys, ["gen", "broom:5", "--out", str(target)])
         assert code == 0 and out == ""
-        assert target.read_text() == format_edge_list(parse_spec("broom:5"))
+        assert target.read_text() == format_edge_list(parse_family_spec("broom:5"))
 
     def test_unwritable_out_exits_1(self, capsys, tmp_path):
         code, _, err = run_cli(
             capsys, ["gen", "path:3", "--out", str(tmp_path / "no" / "g.txt")]
         )
         assert code == 1 and err != ""
-
-
-def parse_spec(text):
-    from blockspectra import parse_family_spec
-
-    return parse_family_spec(text)
 
 
 class TestSpectrum:

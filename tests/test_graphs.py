@@ -1,14 +1,15 @@
 """Graph core: construction, metrics, blocks, isomorphism.
 
-Oracles used here are independent of the implementation under test:
-Floyd-Warshall and a queue BFS for distances, delete-and-probe for cut
-vertices, a search over every vertex subset for blocks, full permutation
-search for isomorphism and automorphisms, and colour refinement by sorted
-neighbour-colour tuples for the stacked cell refinement. Forms found in a
-batch are checked against canonical_form run alone, a batch of one.
+The references come from oracle.py, which reads nothing of the package
+but from_edge_list: Floyd-Warshall and a queue BFS for distances,
+delete-and-probe for cut vertices, a search over every vertex subset for
+blocks, full permutation search for isomorphism and automorphisms, and the
+four-point condition for clique trees. Colour refinement by sorted
+neighbour-colour tuples, defined here, is the reference for the stacked
+cell refinement. Forms found in a batch are checked against canonical_form
+run alone, a batch of one.
 """
 
-import collections
 import hashlib
 import itertools
 import math
@@ -17,7 +18,20 @@ import warnings
 
 import numpy as np
 import pytest
-from conftest import is_clique_tree, is_connected, neighbours
+from oracle import (
+    brute_automorphisms,
+    brute_blocks,
+    brute_cut_vertices,
+    brute_isomorphic,
+    cycle_graph,
+    floyd_warshall,
+    is_clique_tree,
+    is_connected,
+    neighbours,
+    plain_bfs,
+    random_graph,
+    relabelled,
+)
 
 from blockspectra import families, graphs
 from blockspectra import (
@@ -42,49 +56,6 @@ from blockspectra import (
 )
 
 
-def floyd_warshall(g):
-    d = [[0 if i == j else math.inf for j in range(g.n)] for i in range(g.n)]
-    for u, v in g.edges:
-        d[u][v] = d[v][u] = 1
-    for k in range(g.n):
-        for i in range(g.n):
-            for j in range(g.n):
-                if d[i][k] + d[k][j] < d[i][j]:
-                    d[i][j] = d[i][k] + d[k][j]
-    return d
-
-
-def plain_bfs(g):
-    """Distance rows by a queue BFS over adjacency lists; inf if unreachable."""
-    adj = [[] for _ in range(g.n)]
-    for u, v in g.edges:
-        adj[u].append(v)
-        adj[v].append(u)
-    out = []
-    for s in range(g.n):
-        dist = [math.inf] * g.n
-        dist[s] = 0
-        queue = collections.deque([s])
-        while queue:
-            u = queue.popleft()
-            for v in adj[u]:
-                if dist[v] == math.inf:
-                    dist[v] = dist[u] + 1
-                    queue.append(v)
-        out.append(dist)
-    return out
-
-
-def brute_automorphisms(g):
-    """Every vertex permutation that maps the edge set onto itself."""
-    edges = set(map(frozenset, g.edges))
-    return [
-        p
-        for p in itertools.permutations(range(g.n))
-        if all(frozenset((p[u], p[v])) in edges for u, v in g.edges)
-    ]
-
-
 def tuple_refine(nbrs, colors):
     """Colour refinement by tuple keys: each round keys a vertex by (colour,
     sorted neighbour colours) and relabels the keys in sorted order, until a
@@ -106,66 +77,6 @@ def as_cells(colors):
     for v, c in enumerate(colors):
         cells[c] |= 1 << v
     return [c for c in cells if c]
-
-
-def brute_isomorphic(g, h):
-    if g.n != h.n or g.m != h.m:
-        return False
-    ge = set(map(frozenset, g.edges))
-    he = set(map(frozenset, h.edges))
-    for p in itertools.permutations(range(g.n)):
-        if all(frozenset((p[u], p[v])) in he for u, v in ge):
-            return True
-    return False
-
-
-def brute_cut_vertices(g):
-    """Cut vertices by deletion: drop v, test connectivity of the rest."""
-    cuts = set()
-    for v in range(g.n):
-        keep = [u for u in range(g.n) if u != v]
-        if len(keep) <= 1:
-            continue
-        idx = {u: i for i, u in enumerate(keep)}
-        edges = [(idx[a], idx[b]) for a, b in g.edges if a != v and b != v]
-        if not is_connected(from_edge_list(len(keep), edges)):
-            cuts.add(v)
-    return cuts
-
-
-def brute_blocks(g):
-    """Blocks by definition: the maximal vertex sets of size >= 2 that induce a
-    connected subgraph with no cut vertex, found by trying every subset."""
-
-    adj = neighbours(g)
-
-    def connected(vertices):
-        if not vertices:
-            return True
-        reach, frontier = set(), [min(vertices)]
-        while frontier:
-            u = frontier.pop()
-            if u not in reach:
-                reach.add(u)
-                frontier.extend(v for v in adj[u] if v in vertices)
-        return reach == vertices
-
-    candidates = []
-    for size in range(2, g.n + 1):
-        for subset in itertools.combinations(range(g.n), size):
-            s = set(subset)
-            if connected(s) and all(connected(s - {v}) for v in s):
-                candidates.append(frozenset(s))
-    return {b for b in candidates if not any(b < c for c in candidates)}
-
-
-def random_graph(rng, n, p=0.5):
-    edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
-    return from_edge_list(n, edges)
-
-
-def cycle_graph(n):
-    return from_edge_list(n, [(i, (i + 1) % n) for i in range(n)])
 
 
 # The four spectrum_large benchmark graphs, each with its number of twin
@@ -381,19 +292,19 @@ class TestDistances:
                     assert is_connected(complement(g)), format_edge_list(g)
 
     def test_complement_connected_when_diameter_at_least_3_all_n8(self):
-        # every connected 8-vertex graph arises by attaching a vertex to a
-        # connected 7-vertex graph (delete any non-cut vertex to see this),
-        # so sweeping all classes x all masks covers every isomorphism class
-        seven = list(enumerate_connected_graphs(7))
+        # the property is invariant under isomorphism, so one graph of each
+        # connected class of order 8 (past the public cap; their count and
+        # order are pinned in test_families.py) covers them all; a connected
+        # 7-vertex class plus an isolated vertex is the disconnected case
         checked = 0
-        for base in seven:
-            base_pairs = list(base.edges)
-            for mask in range(1, 256):
-                pairs = base_pairs + [(u, 8 - 1) for u in range(8 - 1) if mask >> u & 1]
-                g = from_edge_list(8, pairs)
-                if diameter(g) >= 3:
-                    assert is_connected(complement(g))
-                    checked += 1
+        for g in families._grown_classes(8, True):
+            if diameter(g) >= 3:
+                assert is_connected(complement(g)), format_edge_list(g)
+                checked += 1
+        for base in enumerate_connected_graphs(7):
+            g = from_edge_list(8, base.edges)
+            assert diameter(g) == math.inf
+            assert is_connected(complement(g)), format_edge_list(g)
         assert checked > 0
 
 
@@ -464,6 +375,24 @@ class TestBlocks:
             assert d.cut_vertices == frozenset(brute_cut_vertices(g))
         assert disconnected >= 100  # 130 of the 300 random graphs
 
+    def test_four_point_condition_matches_the_blocks_exhaustive_n7(self):
+        """oracle.is_clique_tree reads only BFS distances; it holds exactly
+        when every block that block_decomposition finds induces a clique."""
+        by_order = []
+        for n in range(1, 8):
+            count = 0
+            for g in enumerate_connected_graphs(n):
+                edges = set(g.edges)
+                complete = all(
+                    e in edges
+                    for b in block_decomposition(g).blocks
+                    for e in itertools.combinations(sorted(b), 2)
+                )
+                assert is_clique_tree(g) == complete, format_edge_list(g)
+                count += complete
+            by_order.append(count)
+        assert by_order == [1, 1, 2, 4, 9, 22, 59]
+
     def test_is_clique_tree(self):
         for n in range(1, 7):
             for t in enumerate_trees(n):
@@ -492,10 +421,7 @@ class TestIsomorphism:
         for _ in range(60):
             n = rng.randint(1, 7)
             g = random_graph(rng, n)
-            p = list(range(n))
-            rng.shuffle(p)
-            h = from_edge_list(n, [(p[u], p[v]) for u, v in g.edges])
-            assert are_isomorphic(g, h)
+            assert are_isomorphic(g, relabelled(g, rng))
 
     def test_agreement_with_brute_force(self):
         """Random pairs, n <= 6, against the n! permutation oracle."""
@@ -513,12 +439,6 @@ class TestIsomorphism:
                 agree_false += 1
         assert agree_false > 50  # the sample exercised both outcomes
         assert agree_true > 5
-
-
-def relabelled(g, rng):
-    p = list(range(g.n))
-    rng.shuffle(p)
-    return from_edge_list(g.n, [(p[u], p[v]) for u, v in g.edges])
 
 
 class TestCanonicalForm:

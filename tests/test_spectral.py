@@ -13,6 +13,7 @@ import warnings
 
 import numpy as np
 import pytest
+from oracle import random_connected, random_graph
 
 from blockspectra import spectral
 from blockspectra import (
@@ -38,18 +39,6 @@ from blockspectra import (
     spectral_radii,
     spectral_radius,
 )
-
-
-def random_connected(rng, n):
-    while True:
-        edges = [
-            (u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.5
-        ]
-        g = from_edge_list(n, edges)
-        a = adjacency_matrix(g)
-        reach = np.linalg.matrix_power(np.eye(n) + a, n)
-        if (reach > 0).all():
-            return g
 
 
 def star_graph(n):
@@ -439,11 +428,6 @@ KIND_MATRICES = {
 }
 
 
-def random_graph(rng, n):
-    edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.4]
-    return from_edge_list(n, edges)
-
-
 class TestSpectralRadii:
     """The batched solver gives every graph the bits it gets alone."""
 
@@ -475,7 +459,7 @@ class TestSpectralRadii:
 
     def test_alone_and_in_a_500_graph_batch(self):
         rng = random.Random(12)
-        graphs = [random_graph(rng, 10) for _ in range(500)]
+        graphs = [random_graph(rng, 10, 0.4) for _ in range(500)]
         target = graphs[300]
         for kind in ("adjacency", "complement_adjacency"):
             assert same_bits(spectral_radii(graphs, kind)[300], spectral_radius(target, kind))
@@ -506,7 +490,7 @@ class TestSpectralRadii:
 
     def test_agreement_with_eigh_500_random_graphs(self):
         rng = random.Random(13)
-        graphs = [random_graph(rng, rng.randint(2, 12)) for _ in range(500)]
+        graphs = [random_graph(rng, rng.randint(2, 12), 0.4) for _ in range(500)]
         for g, pair in zip(graphs, spectral_radii(graphs, "adjacency")):
             ref = float(np.linalg.eigvalsh(adjacency_matrix(g))[-1])
             assert abs(pair.value - ref) <= 1e-9

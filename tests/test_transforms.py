@@ -1,7 +1,9 @@
 """Clique moves and block completion."""
 
+import random
+
 import pytest
-from conftest import is_clique_tree, is_connected
+from oracle import cycle_graph, is_clique_tree, random_connected
 
 from blockspectra import (
     GraphError,
@@ -20,10 +22,6 @@ from blockspectra import (
 )
 from blockspectra import graphs
 from blockspectra.transforms import __all__ as transforms_all
-
-
-def cycle_graph(n):
-    return from_edge_list(n, [(i, (i + 1) % n) for i in range(n)])
 
 
 def block_sizes(g):
@@ -141,20 +139,9 @@ class TestCompleteBlocks:
 
     def test_idempotent_and_monotone(self):
         for seed in range(30):
-            import random
-
             rng = random.Random(seed)
             n = rng.randint(2, 8)
-            while True:
-                edges = [
-                    (u, v)
-                    for u in range(n)
-                    for v in range(u + 1, n)
-                    if rng.random() < 0.45
-                ]
-                g = from_edge_list(n, edges)
-                if is_connected(g):
-                    break
+            g = random_connected(rng, n, 0.45)
             cb = complete(g)
             assert is_clique_tree(cb)
             assert set(g.edges) <= set(cb.edges)
